@@ -30,8 +30,9 @@ conformance:
 test: build
 	$(GO) test ./...
 
-# The concurrent engine, the anonnetd worker pool, and the job codec are
-# permanently race-checked: this is the CI gate.
+# The parallel engines (shard goroutines, vector-kernel workers), the
+# anonnetd worker pool, and the job codec are permanently race-checked:
+# this is the CI gate.
 race:
 	$(GO) test -race ./...
 
@@ -40,8 +41,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzStoreRecord -fuzztime=30s ./internal/store
 	$(GO) test -fuzz=FuzzNonFinalSegmentDamage -fuzztime=30s ./internal/store
 
-# The durability gate: checkpoint/resume trace equality on all four
-# engines (± faults) plus the kill/restart service recovery drill.
+# The durability gate: checkpoint/resume trace equality on every engine
+# (± faults) plus the kill/restart service recovery drill.
 crash-recovery:
 	$(GO) test -race -count=1 -run 'Checkpoint' ./internal/engine ./internal/job
 	$(GO) test -race -count=1 ./internal/store ./internal/service
@@ -57,7 +58,7 @@ chaos:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
 
-# Regenerates the committed three-engine benchmark record from the same
+# Regenerates the committed engine benchmark record from the same
 # workload as the BenchmarkEngineSharded family.
 benchreport:
 	$(GO) run ./cmd/benchreport -o BENCH_engine.json

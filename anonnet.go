@@ -33,16 +33,15 @@
 //	})
 //	fmt.Println(res.Outputs[0]) // 3.875, at every agent
 //
-// Compute takes functional options: WithEngine(Sequential|Concurrent|
-// Sharded|Vectorized) selects the runner (the sharded engine scales to
+// Compute takes functional options: WithEngine(Sequential|Sharded|
+// Vectorized) selects the runner (the sharded engine scales to
 // thousands of agents; the vectorized kernel runs linear mass-passing
 // algorithms over flat float64 buffers with zero steady-state allocations,
 // falling back to the sequential engine — identical traces — for
 // algorithms it cannot express), WithParallelism sets the degree of
 // parallelism (shard count for the sharded engine, worker count for the
-// parallel vectorized kernel), WithOnRound streams per-round progress,
-// WithPatience /
-// WithMaxRounds tune stabilization detection, and WithFaults injects
+// vectorized kernel), WithOnRound streams per-round progress, WithPatience
+// / WithMaxRounds tune stabilization detection, and WithFaults injects
 // seeded deterministic faults (message drop/dup/delay, agent
 // stall/crash-restart, link churn).
 //
@@ -258,20 +257,16 @@ var (
 var (
 	// NewEngine returns the deterministic sequential round engine.
 	NewEngine = engine.New
-	// NewConcurrentEngine returns the goroutine-per-agent engine.
-	NewConcurrentEngine = engine.NewConcurrent
 	// NewShardedEngine returns the sharded batch engine (shards ≤ 0 means
 	// one per core).
 	NewShardedEngine = engine.NewSharded
-	// NewVectorizedEngine returns the zero-allocation vectorized kernel
-	// for linear mass-passing algorithms; it fails with
-	// ErrNotVectorizable when the algorithm does not implement the vector
-	// contract (model.VectorAgent).
-	NewVectorizedEngine = engine.NewVectorized
-	// NewParallelVecEngine returns the multi-worker vectorized kernel
-	// (workers ≤ 0 means one per core); traces are byte-identical to the
-	// sequential engine, and checkpoints interchange with the
-	// single-threaded kernel.
+	// NewParallelVecEngine returns the zero-allocation vectorized kernel
+	// for linear mass-passing algorithms, with the given worker count (1
+	// runs inline; ≤ 0 means one per core). Traces are byte-identical to
+	// the sequential engine at every worker count, and checkpoints
+	// interchange across worker counts. It fails with ErrNotVectorizable
+	// when the algorithm does not implement the vector contract
+	// (model.VectorAgent).
 	NewParallelVecEngine = engine.NewParallelVec
 	// ErrNotVectorizable reports a config the vectorized kernel cannot
 	// run; check it with errors.Is.
@@ -290,8 +285,8 @@ var (
 // Deterministic fault injection (the faultnet subsystem). A FaultPlan
 // composes message drop/duplication/delay, agent stall and crash-restart,
 // and link churn; every decision is a pure hash of (seed, round,
-// participants), so equal seeds and plans give equal traces on all four
-// engines, and a zero plan is bit-identical to no plan at all.
+// participants), so equal seeds and plans give equal traces on every
+// engine, and a zero plan is bit-identical to no plan at all.
 type (
 	// FaultPlan describes the fault channels of one execution.
 	FaultPlan = faults.Plan
@@ -326,17 +321,15 @@ func MarkLeaders(in []Input, leaders ...int) []Input {
 	return out
 }
 
-// EngineKind selects one of the four round engines behind Compute.
+// EngineKind selects one of the round engines behind Compute.
 type EngineKind int
 
-// The four engines. All produce identical traces for equal inputs (the
+// The engines. All produce identical traces for equal inputs (the
 // A2 property tests assert it); they differ only in how the rounds are
 // scheduled onto the hardware.
 const (
 	// Sequential is the deterministic single-threaded engine (default).
 	Sequential EngineKind = iota
-	// Concurrent runs one goroutine per agent with a channel barrier.
-	Concurrent
 	// Sharded partitions agents across cores and delivers messages
 	// through preallocated shard-to-shard buffers; the fastest engine for
 	// large n.
@@ -358,10 +351,11 @@ func (e EngineKind) String() string {
 	return fmt.Sprintf("EngineKind(%d)", int(e))
 }
 
-// ParseEngineKind resolves an engine name — canonical ("seq", "conc",
-// "shard", "vec") or long alias ("sequential", "concurrent", "sharded",
-// "vectorized"), case-insensitively — to its EngineKind. The empty string
-// is Sequential.
+// ParseEngineKind resolves an engine name — canonical ("seq", "shard",
+// "vec") or long alias ("sequential", "sharded", "vectorized"),
+// case-insensitively — to its EngineKind. The empty string is Sequential,
+// and so is "conc" ("concurrent"), the retired goroutine-per-agent
+// engine, whose traces were the sequential engine's.
 func ParseEngineKind(name string) (EngineKind, error) {
 	canon, ok := engine.CanonicalName(name)
 	if !ok {
@@ -436,11 +430,11 @@ func WithModel(k Kind) Option {
 }
 
 // WithParallelism sets the engine's degree of parallelism (default: one
-// worker per core for the sharded engine, single-threaded for the
+// worker per core for the sharded engine, one inline worker for the
 // vectorized one). With WithEngine(Sharded) it is the shard count; with
-// WithEngine(Vectorized) and k ≥ 1 it selects the parallel vectorized
-// kernel with k workers. The trace is independent of k on every engine.
-// It has no effect on the Sequential and Concurrent engines.
+// WithEngine(Vectorized) it is the kernel's worker count. The trace is
+// independent of k on every engine. It has no effect on the Sequential
+// engine.
 func WithParallelism(k int) Option {
 	return func(c *computeConfig) { c.parallelism = k }
 }

@@ -52,14 +52,13 @@ func TestComputeEngineOption(t *testing.T) {
 		return res
 	}
 	seq := run(anonnet.WithEngine(anonnet.Sequential))
-	con := run(anonnet.WithEngine(anonnet.Concurrent))
 	shd := run(anonnet.WithEngine(anonnet.Sharded), anonnet.WithParallelism(3))
 	// The static minbase pipeline is not vectorizable, so Vectorized
 	// exercises the silent fallback — still byte-identical to seq —
 	// with and without parallelism.
 	vec := run(anonnet.WithEngine(anonnet.Vectorized))
 	pvc := run(anonnet.WithEngine(anonnet.Vectorized), anonnet.WithParallelism(2))
-	for _, other := range []*anonnet.ComputeResult{con, shd, vec, pvc} {
+	for _, other := range []*anonnet.ComputeResult{shd, vec, pvc} {
 		if seq.Rounds != other.Rounds || seq.StabilizedAt != other.StabilizedAt {
 			t.Fatalf("engines disagree: seq %+v vs %+v", seq, other)
 		}
@@ -95,8 +94,8 @@ func TestComputeVectorizedKernel(t *testing.T) {
 	}
 	seq := run(anonnet.WithEngine(anonnet.Sequential))
 	vec := run(anonnet.WithEngine(anonnet.Vectorized))
-	// WithParallelism routes to the parallel vectorized kernel; the trace
-	// contract makes it indistinguishable from the others.
+	// WithParallelism sets the kernel's worker count; the trace contract
+	// makes it indistinguishable from the others.
 	pvc := run(anonnet.WithEngine(anonnet.Vectorized), anonnet.WithParallelism(3))
 	for _, other := range []*anonnet.ComputeResult{vec, pvc} {
 		if seq.Rounds != other.Rounds || seq.StabilizedAt != other.StabilizedAt {
@@ -110,31 +109,9 @@ func TestComputeVectorizedKernel(t *testing.T) {
 	}
 }
 
-// TestWithShardsDeprecatedAlias keeps the deprecated option compiling and
-// behaving as WithParallelism.
-func TestWithShardsDeprecatedAlias(t *testing.T) {
-	setting := anonnet.Setting{Kind: anonnet.OutdegreeAware, Static: true, Row: anonnet.RowNoHelp}
-	factory, err := anonnet.NewFactory(anonnet.Average(), setting)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := anonnet.Compute(context.Background(), anonnet.Spec{
-		Factory:  factory,
-		Schedule: anonnet.NewStatic(anonnet.BidirectionalRing(6)),
-		Inputs:   anonnet.Inputs(1, 2, 3, 4, 5, 6),
-		Kind:     setting.Kind,
-	}, anonnet.WithEngine(anonnet.Sharded), anonnet.WithShards(3), anonnet.WithSeed(42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Stable {
-		t.Fatal("sharded run with deprecated WithShards did not stabilize")
-	}
-}
-
 // TestParseEngineKind pins the shared-name-table round trip on the facade.
 func TestParseEngineKind(t *testing.T) {
-	for _, k := range []anonnet.EngineKind{anonnet.Sequential, anonnet.Concurrent, anonnet.Sharded, anonnet.Vectorized} {
+	for _, k := range []anonnet.EngineKind{anonnet.Sequential, anonnet.Sharded, anonnet.Vectorized} {
 		got, err := anonnet.ParseEngineKind(k.String())
 		if err != nil || got != k {
 			t.Fatalf("ParseEngineKind(%q) = %v, %v; want %v", k.String(), got, err, k)
@@ -143,28 +120,13 @@ func TestParseEngineKind(t *testing.T) {
 	if k, err := anonnet.ParseEngineKind("Vectorized"); err != nil || k != anonnet.Vectorized {
 		t.Fatalf("long alias: %v, %v", k, err)
 	}
-	if k, err := anonnet.ParseEngineKind(""); err != nil || k != anonnet.Sequential {
-		t.Fatalf("empty name: %v, %v", k, err)
+	for _, name := range []string{"", "conc", "Concurrent"} {
+		if k, err := anonnet.ParseEngineKind(name); err != nil || k != anonnet.Sequential {
+			t.Fatalf("ParseEngineKind(%q) = %v, %v; want Sequential", name, k, err)
+		}
 	}
 	if _, err := anonnet.ParseEngineKind("turbo"); err == nil {
 		t.Fatal("want error for unknown engine name")
-	}
-}
-
-func TestComputeCtxDeprecatedWrapper(t *testing.T) {
-	setting := anonnet.Setting{Kind: anonnet.OutdegreeAware, Static: true, Row: anonnet.RowNoHelp}
-	factory, err := anonnet.NewFactory(anonnet.Average(), setting)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := anonnet.ComputeCtx(context.Background(), factory,
-		anonnet.NewStatic(anonnet.Ring(5)), anonnet.Inputs(1, 2, 3, 4, 5),
-		anonnet.ComputeOptions{Kind: setting.Kind, Concurrent: true, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Stable || res.Outputs[0].(float64) != 3 {
-		t.Fatalf("wrapper result %+v, want stable average 3", res)
 	}
 }
 

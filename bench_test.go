@@ -3,7 +3,7 @@
 // a table cell to output stabilization and reports the measured
 // stabilization round alongside the wall-clock numbers; the figure
 // benchmarks sweep the paper's rate claims; the ablation benchmarks compare
-// the three kernel-solve variants of §4.2/§4.3 and the four engines.
+// the three kernel-solve variants of §4.2/§4.3 and the engines.
 package anonnet_test
 
 import (
@@ -395,7 +395,6 @@ func BenchmarkEngines(b *testing.B) {
 		}
 	}
 	b.Run("sequential", mk(anonnet.Sequential))
-	b.Run("concurrent", mk(anonnet.Concurrent))
 	b.Run("sharded", mk(anonnet.Sharded))
 	b.Run("vectorized", mk(anonnet.Vectorized))
 }
@@ -405,15 +404,15 @@ func BenchmarkEngines(b *testing.B) {
 // full family stays in benchtime.
 const shardedBenchRounds = 50
 
-// BenchmarkEngineSharded compares the sharded and vectorized engines
-// against the sequential and concurrent ones on Push-Sum over rings of
-// growing size. Push-Sum keeps every agent busy every round, and each
-// engine is constructed and warmed up outside the timer, so an op is
-// exactly shardedBenchRounds steady-state rounds: the family isolates the
-// per-round engine overhead — goroutine-per-agent channel hops
-// (concurrent) vs CSR shard delivery (sharded) vs the flat-buffer
-// scatter-add of the vectorized kernel — and the allocs/op column records
-// what the round loop allocates (zero, for vec). The committed
+// BenchmarkEngineSharded compares the sharded engine and the vectorized
+// kernel (one inline worker, then one per core) against the sequential
+// engine on Push-Sum over rings of growing size. Push-Sum keeps every
+// agent busy every round, and each engine is constructed and warmed up
+// outside the timer, so an op is exactly shardedBenchRounds steady-state
+// rounds: the family isolates the per-round engine overhead — CSR shard
+// delivery (sharded) vs the flat-buffer scatter-add of the vectorized
+// kernel — and the allocs/op column records what the round loop allocates
+// (zero, for vec). The committed
 // BENCH_engine.json is generated from this workload by cmd/benchreport.
 func BenchmarkEngineSharded(b *testing.B) {
 	engines := []struct {
@@ -421,9 +420,8 @@ func BenchmarkEngineSharded(b *testing.B) {
 		mk   func(cfg engine.Config) (engine.Runner, error)
 	}{
 		{"seq", func(cfg engine.Config) (engine.Runner, error) { return engine.New(cfg) }},
-		{"conc", func(cfg engine.Config) (engine.Runner, error) { return engine.NewConcurrent(cfg) }},
 		{"shard", func(cfg engine.Config) (engine.Runner, error) { return engine.NewSharded(cfg, 0) }},
-		{"vec", func(cfg engine.Config) (engine.Runner, error) { return engine.NewVectorized(cfg) }},
+		{"vec", func(cfg engine.Config) (engine.Runner, error) { return engine.NewParallelVec(cfg, 1) }},
 		{"parvec", func(cfg engine.Config) (engine.Runner, error) { return engine.NewParallelVec(cfg, 0) }},
 	}
 	for _, n := range []int{16, 64, 256, 1024} {
@@ -465,7 +463,8 @@ func BenchmarkEngineSharded(b *testing.B) {
 }
 
 // BenchmarkVecRound measures the vectorized kernel's steady-state round
-// loop alone: the engine is constructed and warmed up outside the timer,
+// loop alone on its inline single worker (engine "vec"'s default): the
+// engine is constructed and warmed up outside the timer,
 // so every timed op is exactly one Step on reused buffers. The CI
 // bench-smoke job fails when this benchmark reports a nonzero allocs/op —
 // the zero-allocation claim of the vec engine, kept honest by the gate.
@@ -477,13 +476,13 @@ func BenchmarkVecRound(b *testing.B) {
 			for j := range inputs {
 				inputs[j] = model.Input{Value: float64(j % 31)}
 			}
-			v, err := engine.NewVectorized(engine.Config{
+			v, err := engine.NewParallelVec(engine.Config{
 				Schedule: dynamic.NewStatic(graph.BidirectionalRing(n)),
 				Kind:     model.OutdegreeAware,
 				Inputs:   inputs,
 				Factory:  pushsum.NewAverageFactory(),
 				Seed:     1,
-			})
+			}, 1)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -30,7 +30,7 @@ var ErrInterrupted = errors.New("engine: run interrupted after checkpoint flush"
 var ErrNotCheckpointable = errors.New("engine: execution is not checkpointable")
 
 // Checkpointer is the optional runner capability behind checkpoint/resume.
-// All four engines implement it; Snapshot fails with ErrNotCheckpointable
+// Every engine implements it; Snapshot fails with ErrNotCheckpointable
 // when the agents do not cooperate. Both methods must only be called
 // between rounds (the engines are quiescent there — no worker goroutine
 // touches agent state outside Step).
@@ -48,8 +48,10 @@ type Checkpointer interface {
 // to be gob.Registered (the checkpointable algorithm packages do this in
 // their init functions).
 type Checkpoint struct {
-	// Engine is the runner name the snapshot was taken on; Restore refuses
-	// a different runner, because pending-state layout is engine-specific.
+	// Engine tags the executor family the snapshot was taken on:
+	// "sequential" for the generic runners, "vectorized" for the vector
+	// kernel. Restore refuses the other family, because the pending-state
+	// layout (Delayed or VecDelayed) is family-specific.
 	Engine string
 	// Round is the number of completed rounds at the snapshot.
 	Round int
@@ -65,7 +67,7 @@ type Checkpoint struct {
 	// Delayed holds the generic engines' in-flight delayed messages, in
 	// per-destination append order.
 	Delayed []DelayedMsg
-	// VecDelayed holds the vectorized engine's in-flight delayed rows.
+	// VecDelayed holds the vector kernel's in-flight delayed rows.
 	VecDelayed *VecDelayed
 	// Unchanged and StableSince carry the stability detector's window
 	// state, so a resumed run declares stabilization at the same round an
@@ -80,7 +82,7 @@ type DelayedMsg struct {
 	Msg      model.Message
 }
 
-// VecDelayed is the vectorized engine's pending state: per-destination due
+// VecDelayed is the vector kernel's pending state: per-destination due
 // rounds and the matching flat rows.
 type VecDelayed struct {
 	Width int
@@ -146,12 +148,23 @@ func (s *countingSource) fastForward(seed int64, n int64) {
 	s.draws = n
 }
 
+// The checkpoint tags, one per executor family. Both generic runners
+// stamp genericCheckpointTag: they share the core's pending layout and RNG
+// draw sequence, so a snapshot taken on one resumes on the other.
+// Checkpoints written before the tags were unified carry the generic
+// runner's own name ("concurrent", "sharded"); Restore accepts those too,
+// so a durable checkpoint survives an upgrade.
+const (
+	genericCheckpointTag = "sequential"
+	vecCheckpointTag     = "vectorized"
+)
+
 // Snapshot captures the core's execution state; the generic runners
-// (sequential, concurrent, sharded) promote it unchanged, the vectorized
-// runner wraps it to add its pending rows. Callers must be between rounds.
+// promote it unchanged, the vector kernel wraps it to add its pending
+// rows. Callers must be between rounds.
 func (c *core) Snapshot() (*Checkpoint, error) {
 	cp := &Checkpoint{
-		Engine:   c.name,
+		Engine:   genericCheckpointTag,
 		Round:    c.round,
 		Draws:    c.src.draws,
 		Messages: c.messages,
@@ -179,12 +192,16 @@ func (c *core) Snapshot() (*Checkpoint, error) {
 	return cp, nil
 }
 
-// Restore rewinds a freshly constructed runner to cp's round boundary:
-// counters, fault totals, the fast-forwarded RNG, agent states, and the
-// pending delayed messages. Promoted by the generic runners; the
-// vectorized runner wraps it to restore its pending rows.
+// Restore rewinds a freshly constructed generic runner to cp's round
+// boundary: counters, fault totals, the fast-forwarded RNG, agent states,
+// and the pending delayed messages.
 func (c *core) Restore(cp *Checkpoint) error {
-	if err := c.restoreCore(cp); err != nil {
+	switch cp.Engine {
+	case genericCheckpointTag, "concurrent", "sharded":
+	default:
+		return fmt.Errorf("engine: checkpoint taken on %q engine, restoring on %q", cp.Engine, c.name)
+	}
+	if err := c.restoreState(cp); err != nil {
 		return err
 	}
 	if len(cp.Delayed) > 0 {
@@ -199,16 +216,6 @@ func (c *core) Restore(cp *Checkpoint) error {
 		}
 	}
 	return nil
-}
-
-// restoreCore applies the engine-independent half of a checkpoint after
-// checking the snapshot was taken on a runner with the same pending-state
-// layout (the Engine tag).
-func (c *core) restoreCore(cp *Checkpoint) error {
-	if cp.Engine != c.name {
-		return fmt.Errorf("engine: checkpoint taken on %q engine, restoring on %q", cp.Engine, c.name)
-	}
-	return c.restoreState(cp)
 }
 
 // restoreState applies the engine-independent half of a checkpoint.
@@ -235,26 +242,21 @@ func (c *core) restoreState(cp *Checkpoint) error {
 	return nil
 }
 
-// vecCheckpointEngine is the Engine tag both vector runners stamp on
-// their checkpoints: they share the VecDelayed pending layout (and the
-// RNG draw sequence), so a snapshot taken on one resumes on the other —
-// vec ↔ parallel vec — while the generic engines still refuse it.
-const vecCheckpointEngine = "vectorized"
-
-// Snapshot captures a vectorized engine's state: the core snapshot plus
-// the pending delayed rows (the flat SoA buffers themselves are rewritten
-// every round and need no capture at a round boundary). Shared by the
-// single-threaded and parallel vectorized runners.
-func snapshotVec(c *core, vpend *vecPending, width int) (*Checkpoint, error) {
-	cp, err := c.Snapshot()
+// Snapshot captures the vector kernel's state: the core snapshot plus the
+// pending delayed rows (the flat SoA buffers themselves are rewritten
+// every round and need no capture at a round boundary). The draw sequence
+// and pending layout do not depend on the worker count, so a snapshot
+// resumes under any other.
+func (p *ParallelVec) Snapshot() (*Checkpoint, error) {
+	cp, err := p.core.Snapshot()
 	if err != nil {
 		return nil, err
 	}
-	cp.Engine = vecCheckpointEngine
-	if vpend != nil {
-		vd := &VecDelayed{Width: width, Due: make([][]int, c.N()), Buf: make([][]float64, c.N())}
-		for dst := range vpend.byDst {
-			q := &vpend.byDst[dst]
+	cp.Engine = vecCheckpointTag
+	if p.vpend != nil {
+		vd := &VecDelayed{Width: p.width, Due: make([][]int, p.N()), Buf: make([][]float64, p.N())}
+		for dst := range p.vpend.byDst {
+			q := &p.vpend.byDst[dst]
 			vd.Due[dst] = append([]int(nil), q.due...)
 			vd.Buf[dst] = append([]float64(nil), q.buf...)
 		}
@@ -263,62 +265,36 @@ func snapshotVec(c *core, vpend *vecPending, width int) (*Checkpoint, error) {
 	return cp, nil
 }
 
-// restoreVec rewinds a fresh vectorized runner (either of the two) to
-// cp's round boundary.
-func restoreVec(c *core, vpend *vecPending, width int, cp *Checkpoint) error {
-	if cp.Engine != vecCheckpointEngine {
-		return fmt.Errorf("engine: checkpoint taken on %q engine, restoring on %q", cp.Engine, c.name)
+// Restore rewinds a fresh vector kernel to cp's round boundary.
+func (p *ParallelVec) Restore(cp *Checkpoint) error {
+	if cp.Engine != vecCheckpointTag {
+		return fmt.Errorf("engine: checkpoint taken on %q engine, restoring on %q", cp.Engine, p.name)
 	}
-	if err := c.restoreState(cp); err != nil {
+	if err := p.restoreState(cp); err != nil {
 		return err
 	}
 	if cp.VecDelayed == nil {
 		return nil
 	}
-	if vpend == nil {
+	if p.vpend == nil {
 		return fmt.Errorf("engine: checkpoint carries delayed rows but this run has no fault injector")
 	}
-	vd := cp.VecDelayed
-	if vd.Width != width {
-		return fmt.Errorf("engine: checkpoint delayed rows have width %d, engine width is %d", vd.Width, width)
+	vd, w := cp.VecDelayed, p.width
+	if vd.Width != w {
+		return fmt.Errorf("engine: checkpoint delayed rows have width %d, engine width is %d", vd.Width, w)
 	}
-	if len(vd.Due) != c.N() || len(vd.Buf) != c.N() {
-		return fmt.Errorf("engine: checkpoint delayed rows for %d destinations, want %d", len(vd.Due), c.N())
+	if len(vd.Due) != p.N() || len(vd.Buf) != p.N() {
+		return fmt.Errorf("engine: checkpoint delayed rows for %d destinations, want %d", len(vd.Due), p.N())
 	}
-	for dst := range vpend.byDst {
-		q := &vpend.byDst[dst]
-		if len(vd.Buf[dst]) != len(vd.Due[dst])*width {
+	for dst := range p.vpend.byDst {
+		q := &p.vpend.byDst[dst]
+		if len(vd.Buf[dst]) != len(vd.Due[dst])*w {
 			return fmt.Errorf("engine: checkpoint delayed buffer for destination %d has %d floats for %d rows", dst, len(vd.Buf[dst]), len(vd.Due[dst]))
 		}
 		q.due = append(q.due[:0], vd.Due[dst]...)
 		q.buf = append(q.buf[:0], vd.Buf[dst]...)
 	}
 	return nil
-}
-
-// Snapshot captures the vectorized engine's state.
-func (v *Vectorized) Snapshot() (*Checkpoint, error) {
-	return snapshotVec(v.core, v.vpend, v.width)
-}
-
-// Restore rewinds a fresh vectorized runner to cp's round boundary. It
-// also accepts checkpoints taken on the parallel vectorized runner — the
-// pending layout and draw sequence are identical.
-func (v *Vectorized) Restore(cp *Checkpoint) error {
-	return restoreVec(v.core, v.vpend, v.width, cp)
-}
-
-// Snapshot captures the parallel vectorized engine's state. The snapshot
-// carries the vectorized Engine tag: both vector runners produce the same
-// draw sequence and pending layout, so their checkpoints interchange.
-func (p *ParallelVec) Snapshot() (*Checkpoint, error) {
-	return snapshotVec(p.core, p.vpend, p.width)
-}
-
-// Restore rewinds a fresh parallel vectorized runner to a round boundary
-// checkpointed on either vector runner.
-func (p *ParallelVec) Restore(cp *Checkpoint) error {
-	return restoreVec(p.core, p.vpend, p.width, cp)
 }
 
 // CanCheckpoint reports whether a runner's execution can be checkpointed:

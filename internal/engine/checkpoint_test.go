@@ -76,7 +76,10 @@ func ckptConfig(t *testing.T, cc ckptCase) engine.Config {
 	return cfg
 }
 
-// ckptRunners enumerates the four engines for a config builder.
+// ckptRunners enumerates the engines for a config builder: both generic
+// runners, the retired "conc" name (which legacy specs still spell and
+// which runs the sequential engine), and the vector kernel inline and on
+// three workers.
 func ckptRunners() []struct {
 	name string
 	mk   func(cfg engine.Config) (engine.Runner, error)
@@ -86,9 +89,9 @@ func ckptRunners() []struct {
 		mk   func(cfg engine.Config) (engine.Runner, error)
 	}{
 		{"seq", func(cfg engine.Config) (engine.Runner, error) { return engine.New(cfg) }},
-		{"conc", func(cfg engine.Config) (engine.Runner, error) { return engine.NewConcurrent(cfg) }},
+		{"conc", func(cfg engine.Config) (engine.Runner, error) { return engine.NewRunner(cfg, "conc", 0) }},
 		{"shard3", func(cfg engine.Config) (engine.Runner, error) { return engine.NewSharded(cfg, 3) }},
-		{"vec", func(cfg engine.Config) (engine.Runner, error) { return engine.NewVectorized(cfg) }},
+		{"vec", func(cfg engine.Config) (engine.Runner, error) { return engine.NewParallelVec(cfg, 1) }},
 		{"parvec3", func(cfg engine.Config) (engine.Runner, error) { return engine.NewParallelVec(cfg, 3) }},
 	}
 }
@@ -105,12 +108,61 @@ func hashLines(lines []string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// runWithCheckpoint steps r for rounds rounds, snapshotting it at round k,
+// and returns the per-round trace lines and the snapshot after an
+// Encode/Decode round trip, which exercises the gob codec, in-flight
+// delayed messages and all.
+func runWithCheckpoint(t *testing.T, r engine.Runner, rounds, k int) ([]string, *engine.Checkpoint) {
+	t.Helper()
+	var lines []string
+	var blob []byte
+	for round := 1; round <= rounds; round++ {
+		if err := r.Step(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		lines = append(lines, traceLine(r))
+		if round == k {
+			cp, err := r.(engine.Checkpointer).Snapshot()
+			if err != nil {
+				t.Fatalf("snapshot at round %d: %v", round, err)
+			}
+			if blob, err = cp.Encode(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cp, err := engine.DecodeCheckpoint(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lines, cp
+}
+
+// resumedHash restores cp into the fresh runner r, steps it to round
+// rounds, and hashes the trace lines before cp spliced with the resumed
+// ones.
+func resumedHash(t *testing.T, r engine.Runner, cp *engine.Checkpoint, lines []string, rounds int) string {
+	t.Helper()
+	if err := r.(engine.Checkpointer).Restore(cp); err != nil {
+		t.Fatalf("restore %q checkpoint: %v", cp.Engine, err)
+	}
+	if r.Round() != cp.Round {
+		t.Fatalf("restored runner at round %d, want %d", r.Round(), cp.Round)
+	}
+	spliced := append([]string(nil), lines[:cp.Round]...)
+	for round := cp.Round + 1; round <= rounds; round++ {
+		if err := r.Step(); err != nil {
+			t.Fatalf("resumed round %d: %v", round, err)
+		}
+		spliced = append(spliced, traceLine(r))
+	}
+	return hashLines(spliced)
+}
+
 // TestCheckpointResumeTraceEquality is the subsystem's golden property:
 // for every engine × workload × fault plan, splicing the pre-checkpoint
 // trace of run A with the post-resume trace of run B reproduces run A's
-// full trace hash byte for byte. The checkpoint round-trips through
-// Encode/Decode, exercising the gob codec in-flight delayed messages and
-// all.
+// full trace hash byte for byte.
 func TestCheckpointResumeTraceEquality(t *testing.T) {
 	const rounds, k = 12, 5
 	for _, cc := range ckptCases() {
@@ -128,49 +180,15 @@ func TestCheckpointResumeTraceEquality(t *testing.T) {
 				if !engine.CanCheckpoint(a) {
 					t.Fatalf("%s run of %s reports not checkpointable", rn.name, cc.algo)
 				}
-				var lines []string
-				var blob []byte
-				for round := 1; round <= rounds; round++ {
-					if err := a.Step(); err != nil {
-						t.Fatalf("round %d: %v", round, err)
-					}
-					lines = append(lines, traceLine(a))
-					if round == k {
-						cp, err := a.(engine.Checkpointer).Snapshot()
-						if err != nil {
-							t.Fatalf("snapshot at round %d: %v", round, err)
-						}
-						if blob, err = cp.Encode(); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				full := hashLines(lines)
+				lines, cp := runWithCheckpoint(t, a, rounds, k)
 
-				// Fresh runner, restored from the encoded checkpoint.
-				cp, err := engine.DecodeCheckpoint(blob)
-				if err != nil {
-					t.Fatal(err)
-				}
+				// Fresh runner, restored from the checkpoint.
 				b, err := rn.mk(ckptConfig(t, cc))
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer b.Close()
-				if err := b.(engine.Checkpointer).Restore(cp); err != nil {
-					t.Fatalf("restore: %v", err)
-				}
-				if b.Round() != k {
-					t.Fatalf("restored runner at round %d, want %d", b.Round(), k)
-				}
-				spliced := append([]string(nil), lines[:k]...)
-				for round := k + 1; round <= rounds; round++ {
-					if err := b.Step(); err != nil {
-						t.Fatalf("resumed round %d: %v", round, err)
-					}
-					spliced = append(spliced, traceLine(b))
-				}
-				if got := hashLines(spliced); got != full {
+				if got, full := resumedHash(t, b, cp, lines, rounds), hashLines(lines); got != full {
 					t.Errorf("spliced trace hash %s, want uninterrupted %s", got, full)
 				}
 				if !reflect.DeepEqual(a.Outputs(), b.Outputs()) {
@@ -182,6 +200,100 @@ func TestCheckpointResumeTraceEquality(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestCheckpointGenericCrossResume: the generic runners form one
+// checkpoint family (one Engine tag, one pending layout, one draw
+// sequence), so a snapshot taken on the sequential engine resumes on the
+// sharded one and back, with and without faults, to the uninterrupted
+// trace hash.
+func TestCheckpointGenericCrossResume(t *testing.T) {
+	const rounds, k = 12, 5
+	mk := map[string]func(engine.Config) (engine.Runner, error){
+		"seq":    func(cfg engine.Config) (engine.Runner, error) { return engine.New(cfg) },
+		"shard3": func(cfg engine.Config) (engine.Runner, error) { return engine.NewSharded(cfg, 3) },
+	}
+	for _, cc := range ckptCases() {
+		for _, dir := range []struct{ from, to string }{{"seq", "shard3"}, {"shard3", "seq"}} {
+			t.Run(cc.name+"/"+dir.from+"-to-"+dir.to, func(t *testing.T) {
+				a, err := mk[dir.from](ckptConfig(t, cc))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer a.Close()
+				lines, cp := runWithCheckpoint(t, a, rounds, k)
+				b, err := mk[dir.to](ckptConfig(t, cc))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer b.Close()
+				if got, full := resumedHash(t, b, cp, lines, rounds), hashLines(lines); got != full {
+					t.Errorf("spliced %s→%s trace hash %s, want %s", dir.from, dir.to, got, full)
+				}
+			})
+		}
+	}
+}
+
+// TestCheckpointLegacyGenericTags: earlier releases tagged generic
+// checkpoints with the runner's own name; such a durable checkpoint must
+// still resume after an upgrade rather than fail its job.
+func TestCheckpointLegacyGenericTags(t *testing.T) {
+	const rounds, k = 12, 5
+	cc := ckptCases()[1] // pushsum with faults: delayed messages in flight
+	for _, tag := range []string{"concurrent", "sharded"} {
+		t.Run(tag, func(t *testing.T) {
+			a, err := engine.New(ckptConfig(t, cc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines, cp := runWithCheckpoint(t, a, rounds, k)
+			if len(cp.Delayed) == 0 {
+				t.Fatal("checkpoint carries no delayed messages; the case no longer exercises the pending layout")
+			}
+			cp.Engine = tag
+			b, err := engine.New(ckptConfig(t, cc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, full := resumedHash(t, b, cp, lines, rounds), hashLines(lines); got != full {
+				t.Errorf("spliced trace hash %s, want %s", got, full)
+			}
+		})
+	}
+}
+
+// TestCheckpointFamilyRefused: the two families' pending layouts differ
+// (Delayed vs VecDelayed), so a vector checkpoint is refused by a generic
+// runner and a generic one by the vector kernel.
+func TestCheckpointFamilyRefused(t *testing.T) {
+	cc := ckptCases()[1]
+	snap := func(r engine.Runner, err error) *engine.Checkpoint {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		_, cp := runWithCheckpoint(t, r, 3, 3)
+		return cp
+	}
+	vecCP := snap(engine.NewParallelVec(ckptConfig(t, cc), 1))
+	genCP := snap(engine.New(ckptConfig(t, cc)))
+	seq, err := engine.New(ckptConfig(t, cc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := seq.Restore(vecCP); err == nil {
+		t.Error("sequential engine restored a vector checkpoint")
+	}
+	pv, err := engine.NewParallelVec(ckptConfig(t, cc), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pv.Close()
+	if err := pv.Restore(genCP); err == nil {
+		t.Error("vector kernel restored a generic checkpoint")
 	}
 }
 

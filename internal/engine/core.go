@@ -11,15 +11,16 @@ import (
 	"anonnet/internal/topology"
 )
 
-// This file is the shared round pipeline under the four runners: one core
+// This file is the shared round pipeline under the runners: one core
 // holds the configuration, the agents, the topology provider, the fault
 // machinery, and the reused message buffers, and drives every round
 // through the same stage sequence — restart, snapshot, send, exchange
 // (deliver + fates + pending + shuffle), receive. The runners differ only
-// in how they execute the stages (loop over agents, worker pool, shard
-// barrier, SoA kernel), which they express by implementing the executor
+// in how they execute the stages (loop over agents, shard barrier, SoA
+// kernel), which they express by implementing the executor
 // interface; the core is the only engine file that touches graph,
-// dynamic, or faults machinery, so cross-cutting features are wired once.
+// dynamic, or faults machinery, so cross-cutting features are wired once
+// (layering_test.go enforces the graph and dynamic half of that rule).
 
 // Config describes one execution: the network, the communication model, the
 // inputs, and the algorithm (as an agent factory).
@@ -367,8 +368,8 @@ func (c *core) TopologyStats() topology.BuildStats {
 
 // Corrupt scrambles every Corruptible agent's state, for
 // self-stabilization experiments; it reports how many agents were
-// corrupted. The concurrent runner overrides this to respect worker
-// ownership.
+// corrupted. Every runner's workers run only inside Step, so between
+// rounds the calling goroutine owns all agents.
 func (c *core) Corrupt(junk int64) int {
 	if c.closed {
 		return 0
@@ -396,13 +397,13 @@ func shuffleMessages(msgs []model.Message, rng *rand.Rand) {
 }
 
 // NewRunner constructs the named runner over cfg: "seq" (or "") for the
-// sequential engine, "conc" for the concurrent one, "shard" for the
-// sharded one with the given shard count, and "vec" for the vectorized
-// kernel — single-threaded when shards ≤ 0, the parallel kernel with
-// shards workers otherwise — with silent fallback to the sequential
-// engine when the workload is not vectorizable (the traces are identical
-// either way). Names resolve through the engine-name table, so the long
-// aliases ("sequential", "vectorized", …) work too. This is the one
+// sequential engine, "shard" for the sharded one with the given shard
+// count, and "vec" for the vectorized kernel with shards workers (≤ 0
+// means one, run inline on the calling goroutine) — with silent fallback
+// to the sequential engine when the workload is not vectorizable (the
+// traces are identical either way). Names resolve through the engine-name
+// table, so the long aliases ("sequential", "vectorized", …) work too,
+// and the retired "conc" runs the sequential engine. This is the one
 // engine-selection point shared by the facade and the job runner.
 func NewRunner(cfg Config, name string, shards int) (Runner, error) {
 	canon, ok := CanonicalName(name)
@@ -412,22 +413,14 @@ func NewRunner(cfg Config, name string, shards int) (Runner, error) {
 	switch canon {
 	case "seq":
 		return New(cfg)
-	case "conc":
-		return NewConcurrent(cfg)
 	case "shard":
 		return NewSharded(cfg, shards)
 	default: // "vec"
-		var r Runner
-		var err error
-		if shards > 0 {
-			r, err = NewParallelVec(cfg, shards)
-		} else {
-			r, err = NewVectorized(cfg)
+		r, err := NewParallelVec(cfg, max(shards, 1))
+		if errors.Is(err, ErrNotVectorizable) {
+			return New(cfg)
 		}
 		if err != nil {
-			if errors.Is(err, ErrNotVectorizable) {
-				return New(cfg)
-			}
 			return nil, err
 		}
 		return r, nil

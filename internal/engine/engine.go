@@ -3,14 +3,15 @@
 // sending function, the communication graph 𝔾(t) routes the messages, and
 // every agent applies its transition function to the received multiset.
 //
-// Four interchangeable runners implement the semantics: a deterministic
-// sequential engine, a concurrent engine with one goroutine per agent, a
-// sharded batch engine that partitions the agents across cores, and a
-// vectorized kernel that executes linear mass-passing algorithms
-// (model.VectorAgent) over flat float64 buffers with zero steady-state
-// allocations. All four are thin executors over one shared round core
-// (core.go) and one topology substrate (internal/topology); property tests
-// assert they produce identical traces for deterministic agents.
+// Two executor families implement the semantics. Generic agents run on
+// the deterministic sequential engine — the reference — or on the sharded
+// batch engine, which partitions the agents across cores. Linear
+// mass-passing algorithms (model.VectorAgent) run on the vectorized kernel
+// (ParallelVec), which executes rounds over flat float64 buffers with zero
+// steady-state allocations, inline with one worker or split over several.
+// All three are thin executors over one shared round core (core.go) and
+// one topology substrate (internal/topology); property tests assert they
+// produce identical traces for deterministic agents.
 package engine
 
 import (
@@ -18,7 +19,7 @@ import (
 	"anonnet/internal/topology"
 )
 
-// Runner is the common interface of the four engines.
+// Runner is the common interface of the engines.
 type Runner interface {
 	// Step executes one round.
 	Step() error
@@ -34,7 +35,8 @@ type Runner interface {
 	Corrupt(junk int64) int
 	// Stats returns cumulative execution statistics.
 	Stats() Stats
-	// Close releases resources (goroutines, for the concurrent engine).
+	// Close releases resources (the worker goroutines of a parallel
+	// vectorized engine).
 	Close()
 }
 
@@ -53,7 +55,7 @@ type Stats struct {
 
 // Engine is the deterministic sequential runner: every pipeline stage is a
 // plain loop over the agents on the calling goroutine. It is the reference
-// executor the other three are property-tested against.
+// executor the others are property-tested against.
 type Engine struct {
 	*core
 }

@@ -278,9 +278,14 @@ func TestSequentialConcurrentTraceEquality(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		con, err := NewConcurrent(cfg)
+		// The retired concurrent runner's name now runs the sequential
+		// engine, whose trace it always had.
+		con, err := NewRunner(cfg, "conc", 0)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if _, ok := con.(*Engine); !ok {
+			t.Fatalf("NewRunner(conc) = %T, want *Engine", con)
 		}
 		shd, err := NewSharded(cfg, 1+trial%4) // vary the shard count per trial
 		if err != nil {
@@ -308,23 +313,6 @@ func TestSequentialConcurrentTraceEquality(t *testing.T) {
 		}
 		con.Close()
 		shd.Close()
-	}
-}
-
-func TestConcurrentCloseIdempotent(t *testing.T) {
-	c, err := NewConcurrent(Config{
-		Schedule: dynamic.NewStatic(graph.Ring(3)),
-		Kind:     model.SimpleBroadcast,
-		Inputs:   inputs(1, 2, 3),
-		Factory:  countFactory,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Close()
-	c.Close()
-	if err := c.Step(); err == nil {
-		t.Fatal("Step after Close should fail")
 	}
 }
 
@@ -473,27 +461,36 @@ func TestStepRejectsShapeShiftingSchedule(t *testing.T) {
 	}
 }
 
-func TestConcurrentCorrupt(t *testing.T) {
-	c, err := NewConcurrent(Config{
+// TestCorruptBetweenRounds: every generic runner's Corrupt reaches each
+// Corruptible agent on the calling goroutine, and is a no-op once the
+// runner is closed (the sequential engine's Close is a no-op itself).
+func TestCorruptBetweenRounds(t *testing.T) {
+	cfg := Config{
 		Schedule: dynamic.NewStatic(graph.Ring(3)),
 		Kind:     model.SimpleBroadcast,
 		Inputs:   inputs(1, 2, 3),
 		Factory:  func(in model.Input) model.Agent { return &corruptible{} },
-	})
+	}
+	seq, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if got := c.Corrupt(5); got != 3 {
-		t.Fatalf("Corrupt reported %d agents, want 3", got)
+	shd, err := NewSharded(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		if !c.agents[i].(*corruptible).hit {
-			t.Fatalf("agent %d not corrupted", i)
+	for _, r := range []*core{seq.core, shd.core} {
+		if got := r.Corrupt(5); got != 3 {
+			t.Fatalf("%s: Corrupt reported %d agents, want 3", r.name, got)
+		}
+		for i := 0; i < 3; i++ {
+			if !r.agents[i].(*corruptible).hit {
+				t.Fatalf("%s: agent %d not corrupted", r.name, i)
+			}
 		}
 	}
-	c.Close()
-	if got := c.Corrupt(5); got != 0 {
+	shd.Close()
+	if got := shd.Corrupt(5); got != 0 {
 		t.Fatalf("Corrupt after Close reported %d", got)
 	}
 }
@@ -555,13 +552,13 @@ func TestStatsCountMessages(t *testing.T) {
 	if st.Rounds != 4 || st.MessagesDelivered != 24 {
 		t.Fatalf("stats = %+v, want 4 rounds and 24 messages", st)
 	}
-	// Concurrent engine agrees.
-	c, err := NewConcurrent(Config{
+	// Sharded engine agrees.
+	c, err := NewSharded(Config{
 		Schedule: dynamic.NewStatic(graph.Ring(3)),
 		Kind:     model.SimpleBroadcast,
 		Inputs:   inputs(1, 2, 3),
 		Factory:  countFactory,
-	})
+	}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,6 +569,6 @@ func TestStatsCountMessages(t *testing.T) {
 		}
 	}
 	if got := c.Stats(); got != (Stats{Rounds: 4, MessagesDelivered: 24}) {
-		t.Fatalf("concurrent stats = %+v", got)
+		t.Fatalf("sharded stats = %+v", got)
 	}
 }

@@ -2,13 +2,13 @@ package engine_test
 
 // Golden-trace regression tests: the committed hashes below were recorded
 // from the engines as of PR 4, before the topology/core refactor, and pin
-// the repo's signature property — all four engines produce byte-identical
+// the repo's signature property — all engines produce byte-identical
 // round-by-round traces, and refactors must reproduce them bit for bit.
 // Every case hashes the full history of output vectors (one line per
 // round, rendered with %v so float formatting is part of the contract)
 // across the five algorithm families, async starts, and nonzero fault
-// plans, and asserts that the sequential, concurrent, sharded, and (where
-// the workload is vectorizable) vectorized engines all match the recorded
+// plans, and asserts that the sequential, sharded, and (where the workload
+// is vectorizable) vectorized engines, inline and parallel, all match the recorded
 // constant. A failure here means observable behaviour changed relative to
 // the pre-refactor engines — never "update the constant" without
 // understanding why.
@@ -127,8 +127,8 @@ func traceHash(t *testing.T, r engine.Runner, rounds int) string {
 
 // TestGoldenTraceLargeN pins the parallel kernel's trace contract at
 // scale: at n=10⁵ on a bidirectional ring, the sequential engine, the
-// single-threaded kernel, and the parallel kernel (at a worker count that
-// does not divide n) must all reproduce the recorded hash. The constant
+// kernel on one inline worker, and the kernel on a worker count that
+// does not divide n must all reproduce the recorded hash. The constant
 // was recorded from the sequential engine; the large n makes the
 // destination-count-dependent RNG rejection paths (and hence the parallel
 // draw-splitting pass) statistically certain to be exercised.
@@ -146,7 +146,7 @@ func TestGoldenTraceLargeN(t *testing.T) {
 		mk   func() (engine.Runner, error)
 	}{
 		{"seq", func() (engine.Runner, error) { return engine.New(pushsumConfig(n, 23)) }},
-		{"vec", func() (engine.Runner, error) { return engine.NewVectorized(pushsumConfig(n, 23)) }},
+		{"vec", func() (engine.Runner, error) { return engine.NewParallelVec(pushsumConfig(n, 23), 1) }},
 		{"parvec7", func() (engine.Runner, error) { return engine.NewParallelVec(pushsumConfig(n, 23), 7) }},
 	}
 	for _, rn := range runners {
@@ -171,10 +171,9 @@ func TestGoldenTraces(t *testing.T) {
 				mk   func() (engine.Runner, error)
 			}{
 				{"seq", func() (engine.Runner, error) { return engine.New(goldenConfig(t, gc)) }},
-				{"conc", func() (engine.Runner, error) { return engine.NewConcurrent(goldenConfig(t, gc)) }},
 				{"shard3", func() (engine.Runner, error) { return engine.NewSharded(goldenConfig(t, gc), 3) }},
 				{"vec", func() (engine.Runner, error) {
-					r, err := engine.NewVectorized(goldenConfig(t, gc))
+					r, err := engine.NewParallelVec(goldenConfig(t, gc), 1)
 					if errors.Is(err, engine.ErrNotVectorizable) {
 						return nil, err // skipped below
 					}

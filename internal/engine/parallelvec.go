@@ -9,14 +9,22 @@ import (
 	"anonnet/internal/topology"
 )
 
-// ParallelVec is the multi-worker version of the vectorized kernel: the
-// agent range is partitioned into contiguous slabs, one per persistent
-// worker goroutine, and every stage of the round — send, gather,
-// accumulate, receive — runs slab-parallel over the shared flat SoA
-// buffers and the immutable topology snapshot. Workers never touch each
-// other's destinations, so the only synchronization is the channel barrier
-// between phases, and the steady-state round loop stays at zero heap
-// allocations (asserted by tests and the CI allocation gate).
+// ParallelVec is the zero-allocation kernel runner for linear mass-passing
+// algorithms: agents implementing model.VectorAgent expose their round
+// message as a fixed-width float64 tuple, and the engine executes rounds
+// entirely over flat n·width SoA buffers — one for the sent rows, one for
+// the per-destination sums — with a gather over the shared topology
+// snapshot's destination-major layout. No message is ever boxed into an
+// interface.
+//
+// The agent range is partitioned into contiguous slabs, one per worker,
+// and every stage of the round — send, gather, accumulate, receive — runs
+// slab-parallel over the shared buffers and the immutable snapshot. With
+// one worker the phases run inline on the calling goroutine; with more,
+// each slab has a persistent worker goroutine, and since workers never
+// touch each other's destinations the only synchronization is the channel
+// barrier between phases. Either way the steady-state round loop performs
+// zero heap allocations (asserted by tests and the CI allocation gate).
 //
 // The trace contract is the hard part. The seeded Fisher–Yates shuffle
 // consumes the shared RNG with rejection sampling, so the number of draws
@@ -58,6 +66,8 @@ type ParallelVec struct {
 
 	vpend *vecPending
 
+	// reqs and done are the worker barrier; both are nil with one worker,
+	// whose phases run inline.
 	reqs []chan pvReq
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -68,8 +78,8 @@ var _ Runner = (*ParallelVec)(nil)
 // pvShard is one worker's slab-local state. refs accumulates the
 // contribution lists of the slab's destinations back to back (refStart
 // delimits them), late the delayed rows flushed for the whole round —
-// unlike the single-threaded kernel, gather and accumulate are separate
-// phases here, so both must survive the barrier between them.
+// gather and accumulate are separate phases, so both must survive the
+// barrier between them.
 type pvShard struct {
 	refs     []int32
 	refStart []int32 // hi-lo+1 entries, offsets into refs
@@ -95,20 +105,48 @@ type pvReq struct {
 	snap  *topology.Snapshot
 }
 
-// NewParallelVec validates cfg like NewVectorized and returns a parallel
-// vectorized engine with the given worker count (≤ 0 selects
-// runtime.GOMAXPROCS(0)). Worker counts need not divide the agent count;
-// counts above it leave some workers idle. Callers must Close the engine
-// to stop the workers.
+// NewParallelVec validates cfg, instantiates the agents through the
+// model.VectorAgent contract, and returns a vectorized engine with the
+// given worker count (≤ 0 selects runtime.GOMAXPROCS(0)), positioned
+// before round 1. Worker counts need not divide the agent count; counts
+// above it leave some workers idle. One worker starts no goroutines; with
+// more, callers must Close the engine to stop them. It returns an error
+// wrapping ErrNotVectorizable when the algorithm cannot run on the vector
+// kernel.
 func NewParallelVec(cfg Config, workers int) (*ParallelVec, error) {
-	core, vecs, width, universe, err := newVecCore(cfg, "parallelvec")
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if desc, err := model.Lookup(cfg.Kind); err == nil && desc.VecSend == nil {
+		return nil, fmt.Errorf("%w: the %s model's sending function has no fixed-width vector form", ErrNotVectorizable, desc.Name)
+	}
+	core, err := newCore(cfg, "vectorized")
 	if err != nil {
 		return nil, err
+	}
+	n := core.N()
+	universe := universeOf(cfg.Inputs)
+	vecs := make([]model.VectorAgent, n)
+	width := 0
+	for i, a := range core.agents {
+		va, ok := a.(model.VectorAgent)
+		if !ok {
+			return nil, fmt.Errorf("%w: agent %d (%T) does not implement model.VectorAgent", ErrNotVectorizable, i, a)
+		}
+		w := va.InitVector(universe)
+		if w <= 0 {
+			return nil, fmt.Errorf("%w: agent %d (%T) declined vectorization", ErrNotVectorizable, i, a)
+		}
+		if i == 0 {
+			width = w
+		} else if w != width {
+			return nil, fmt.Errorf("engine: agent %d reports vector width %d, agent 0 reported %d", i, w, width)
+		}
+		vecs[i] = va
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	n := core.N()
 	p := &ParallelVec{
 		core:     core,
 		vecs:     vecs,
@@ -120,18 +158,22 @@ func NewParallelVec(cfg Config, workers int) (*ParallelVec, error) {
 		workers:  workers,
 		shard:    make([]pvShard, workers),
 		swapBase: make([]int32, workers),
-		reqs:     make([]chan pvReq, workers),
-		done:     make(chan struct{}, workers),
 	}
 	if cfg.Faults != nil {
 		p.vpend = newVecPending(n, width)
 	}
-	for k := 0; k < workers; k++ {
+	if workers > 1 {
+		p.reqs = make([]chan pvReq, workers)
+		p.done = make(chan struct{}, workers)
+	}
+	for k := range p.shard {
 		lo, hi := shardRange(n, workers, k)
 		p.shard[k].refStart = make([]int32, hi-lo+1)
-		p.reqs[k] = make(chan pvReq, 1)
-		p.wg.Add(1)
-		go p.worker(k, lo, hi)
+		if p.reqs != nil {
+			p.reqs[k] = make(chan pvReq, 1)
+			p.wg.Add(1)
+			go p.worker(k, lo, hi)
+		}
 	}
 	return p, nil
 }
@@ -217,9 +259,13 @@ func (p *ParallelVec) runPhase(k, lo, hi int, req pvReq) {
 	}
 }
 
-// barrier dispatches req to every worker, waits for all of them, and
+// barrier runs req over every slab — inline with one worker, otherwise by
+// dispatching it to every worker and waiting for all of them — and
 // returns (clearing) the first shard error.
 func (p *ParallelVec) barrier(req pvReq) error {
+	if p.reqs == nil {
+		p.runPhase(0, 0, p.N(), req)
+	}
 	for k := range p.reqs {
 		p.reqs[k] <- req
 	}
@@ -237,9 +283,31 @@ func (p *ParallelVec) barrier(req pvReq) error {
 }
 
 // restart applies the crash-restart channel on the engine goroutine (the
-// workers are quiescent between rounds).
+// workers are quiescent between rounds). Rebuilt agents re-enter through
+// model.VectorAgent so their width commitment stays intact.
 func (p *ParallelVec) restart(t int) error {
-	return restartVecAgents(p.core, t, p.vecs, p.universe, p.width)
+	inj := p.cfg.Faults
+	if inj == nil {
+		return nil
+	}
+	for i := range p.agents {
+		if !inj.Restart(t, i) {
+			continue
+		}
+		a := p.cfg.Factory(p.cfg.Inputs[i])
+		if a == nil {
+			return fmt.Errorf("engine: factory returned nil agent restarting agent %d at round %d", i, t)
+		}
+		va, ok := a.(model.VectorAgent)
+		if !ok {
+			return fmt.Errorf("engine: restarted agent %d (%T) does not implement model.VectorAgent", i, a)
+		}
+		if w := va.InitVector(p.universe); w != p.width {
+			return fmt.Errorf("engine: restarted agent %d reports vector width %d, want %d", i, w, p.width)
+		}
+		p.agents[i], p.vecs[i] = a, va
+	}
+	return nil
 }
 
 // send fans the sending functions out over the worker slabs.
@@ -295,14 +363,7 @@ func applySwaps(refs, swaps []int32) {
 	}
 }
 
-// Corrupt scrambles every Corruptible agent's state on the engine
-// goroutine; the workers only run inside Step, so between rounds the
-// engine goroutine owns all agents.
-func (p *ParallelVec) Corrupt(junk int64) int {
-	return p.core.Corrupt(junk)
-}
-
-// Close stops the worker goroutines. It is idempotent.
+// Close stops the worker goroutines, if any. It is idempotent.
 func (p *ParallelVec) Close() {
 	if p.closed {
 		return

@@ -3,13 +3,12 @@ package engine_test
 // Property tests for the parallel vectorized runner: across every
 // vectorizable workload, seed, fault plan, async-start vector, and worker
 // count — including counts that do not divide the agent count, counts
-// above it (1-agent and empty slabs), and 1 (degenerate serial) — the
-// traces must be byte-identical to the sequential engine, the steady-state
-// round loop must not allocate, and checkpoints must interchange with the
-// single-threaded vectorized runner in both directions.
+// above it (1-agent and empty slabs), and 1 (the inline path, no worker
+// goroutines) — the traces must be byte-identical to the sequential
+// engine, the steady-state round loop must not allocate, and checkpoints
+// must interchange across worker counts in both directions.
 
 import (
-	"reflect"
 	"runtime"
 	"testing"
 
@@ -26,36 +25,6 @@ func pvWorkerCounts(n int) []int {
 	return []int{1, 2, 3, runtime.GOMAXPROCS(0), n - 1, n + 1, 2 * n}
 }
 
-// stepTriple steps the sequential, vectorized, and parallel vectorized
-// runners in lockstep and asserts byte-identical outputs after every
-// round, then equal cumulative stats.
-func stepTriple(t *testing.T, seq *engine.Engine, vec *engine.Vectorized, pv *engine.ParallelVec, rounds int) {
-	t.Helper()
-	for r := 1; r <= rounds; r++ {
-		if err := seq.Step(); err != nil {
-			t.Fatalf("sequential round %d: %v", r, err)
-		}
-		if err := vec.Step(); err != nil {
-			t.Fatalf("vectorized round %d: %v", r, err)
-		}
-		if err := pv.Step(); err != nil {
-			t.Fatalf("parallel vectorized round %d: %v", r, err)
-		}
-		so, po := seq.Outputs(), pv.Outputs()
-		for i := range so {
-			if !reflect.DeepEqual(so[i], po[i]) {
-				t.Fatalf("round %d agent %d: sequential %v ≠ parallel vectorized %v", r, i, so[i], po[i])
-			}
-		}
-	}
-	if seq.Stats() != pv.Stats() {
-		t.Fatalf("stats diverge: sequential %+v, parallel vectorized %+v", seq.Stats(), pv.Stats())
-	}
-	if vec.Stats() != pv.Stats() {
-		t.Fatalf("stats diverge: vectorized %+v, parallel vectorized %+v", vec.Stats(), pv.Stats())
-	}
-}
-
 // TestParallelVecTraceEquality is the tentpole property: on every
 // vectorizable workload, for several seeds and every worker count in the
 // grid, the parallel kernel reproduces the sequential engine's trace byte
@@ -70,16 +39,11 @@ func TestParallelVecTraceEquality(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					vec, err := engine.NewVectorized(tc.config(t, n, seed, nil, nil))
-					if err != nil {
-						t.Fatal(err)
-					}
 					pv, err := engine.NewParallelVec(tc.config(t, n, seed, nil, nil), workers)
 					if err != nil {
 						t.Fatalf("seed %d workers %d: %v", seed, workers, err)
 					}
-					stepTriple(t, seq, vec, pv, tc.rounds)
-					vec.Close()
+					stepPair(t, seq, pv, tc.rounds)
 					pv.Close()
 				}
 			}
@@ -100,16 +64,11 @@ func TestParallelVecFaultTraceEquality(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				vec, err := engine.NewVectorized(tc.config(t, n, 23, inj, nil))
-				if err != nil {
-					t.Fatal(err)
-				}
 				pv, err := engine.NewParallelVec(tc.config(t, n, 23, inj, nil), workers)
 				if err != nil {
 					t.Fatal(err)
 				}
-				stepTriple(t, seq, vec, pv, tc.rounds)
-				vec.Close()
+				stepPair(t, seq, pv, tc.rounds)
 				pv.Close()
 			}
 		})
@@ -127,17 +86,12 @@ func TestParallelVecAsyncStarts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			vec, err := engine.NewVectorized(tc.config(t, n, 23, nil, starts))
-			if err != nil {
-				t.Fatal(err)
-			}
 			pv, err := engine.NewParallelVec(tc.config(t, n, 23, nil, starts), 3)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer vec.Close()
 			defer pv.Close()
-			stepTriple(t, seq, vec, pv, tc.rounds)
+			stepPair(t, seq, pv, tc.rounds)
 		})
 	}
 }
@@ -177,15 +131,16 @@ func TestParallelVecZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestParallelVecCheckpointCrossResume pins the cross-engine durability
-// contract: a checkpoint taken on either vector runner restores on the
-// other — in both directions — and the resumed trace is byte-identical to
-// the uninterrupted one. The two engines consume the shared RNG
-// draw-for-draw identically, so the Draws counter carries over.
+// TestParallelVecCheckpointCrossResume pins the durability contract across
+// worker counts: a checkpoint taken on the inline single-worker kernel
+// ("vec") restores on a four-worker one ("parvec") and back, and the
+// resumed trace is byte-identical to the uninterrupted one. Every worker
+// count consumes the shared RNG draw-for-draw identically, so the Draws
+// counter carries over.
 func TestParallelVecCheckpointCrossResume(t *testing.T) {
 	const n, rounds, k = 9, 12, 5
 	mk := map[string]func() (engine.Runner, error){
-		"vec": func() (engine.Runner, error) { return engine.NewVectorized(pushsumConfig(n, 23)) },
+		"vec": func() (engine.Runner, error) { return engine.NewParallelVec(pushsumConfig(n, 23), 1) },
 		"parvec": func() (engine.Runner, error) {
 			return engine.NewParallelVec(pushsumConfig(n, 23), 4)
 		},
@@ -199,45 +154,13 @@ func TestParallelVecCheckpointCrossResume(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer a.Close()
-			var lines []string
-			var blob []byte
-			for round := 1; round <= rounds; round++ {
-				if err := a.Step(); err != nil {
-					t.Fatal(err)
-				}
-				lines = append(lines, traceLine(a))
-				if round == k {
-					cp, err := a.(engine.Checkpointer).Snapshot()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if blob, err = cp.Encode(); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			full := hashLines(lines)
-
-			cp, err := engine.DecodeCheckpoint(blob)
-			if err != nil {
-				t.Fatal(err)
-			}
+			lines, cp := runWithCheckpoint(t, a, rounds, k)
 			b, err := mk[dir.to]()
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer b.Close()
-			if err := b.(engine.Checkpointer).Restore(cp); err != nil {
-				t.Fatalf("restore %s checkpoint on %s: %v", dir.from, dir.to, err)
-			}
-			spliced := append([]string(nil), lines[:k]...)
-			for round := k + 1; round <= rounds; round++ {
-				if err := b.Step(); err != nil {
-					t.Fatal(err)
-				}
-				spliced = append(spliced, traceLine(b))
-			}
-			if got := hashLines(spliced); got != full {
+			if got, full := resumedHash(t, b, cp, lines, rounds), hashLines(lines); got != full {
 				t.Errorf("spliced %s→%s trace hash %s, want %s", dir.from, dir.to, got, full)
 			}
 		})
@@ -277,9 +200,9 @@ func TestParallelVecNotVectorizable(t *testing.T) {
 }
 
 // TestNewRunnerSelectsParallelVec pins the engine-selection contract:
-// "vec" with a positive shard count routes to the parallel kernel, "vec"
-// without one to the single-threaded kernel, and the long aliases resolve
-// through the shared name table.
+// "vec" with a positive shard count runs that many workers, "vec" without
+// one a single inline worker, and the long aliases resolve through the
+// shared name table.
 func TestNewRunnerSelectsParallelVec(t *testing.T) {
 	r, err := engine.NewRunner(pushsumConfig(6, 2), "vec", 3)
 	if err != nil {
@@ -298,7 +221,11 @@ func TestNewRunnerSelectsParallelVec(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r2.Close()
-	if _, ok := r2.(*engine.Vectorized); !ok {
-		t.Fatalf("NewRunner(vectorized, 0) = %T, want *engine.Vectorized", r2)
+	pv2, ok := r2.(*engine.ParallelVec)
+	if !ok {
+		t.Fatalf("NewRunner(vectorized, 0) = %T, want *engine.ParallelVec", r2)
+	}
+	if pv2.Workers() != 1 {
+		t.Fatalf("NewRunner(vectorized, 0).Workers() = %d, want 1", pv2.Workers())
 	}
 }

@@ -1,7 +1,7 @@
 package engine_test
 
-// Property tests for the A2 contract extended to the third runner:
-// sequential ≡ concurrent ≡ sharded, for every algorithm package and for
+// Property tests for the A2 contract extended to the sharded runner:
+// sequential ≡ sharded, for every algorithm package and for
 // shard counts that do and do not divide n. These live in an external test
 // package so they can drive the engines through the real algorithm
 // factories (core imports engine, so the internal test package cannot).
@@ -120,8 +120,9 @@ func caseInputs(n int) []model.Input {
 	return out
 }
 
-// TestThreeEngineTraceEquality steps the three engines in lockstep on every
-// algorithm and asserts the output vectors agree after every round.
+// TestThreeEngineTraceEquality steps the sequential and sharded engines in
+// lockstep on every algorithm and asserts the output vectors agree after
+// every round.
 func TestThreeEngineTraceEquality(t *testing.T) {
 	const n = 7
 	for _, tc := range algoCases() {
@@ -139,29 +140,19 @@ func TestThreeEngineTraceEquality(t *testing.T) {
 			}
 			cfg2 := cfg
 			cfg2.Factory = tc.factory(t)
-			con, err := engine.NewConcurrent(cfg2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer con.Close()
-			cfg3 := cfg
-			cfg3.Factory = tc.factory(t)
-			shd, err := engine.NewSharded(cfg3, 3) // 3 does not divide 7
+			shd, err := engine.NewSharded(cfg2, 3) // 3 does not divide 7
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer shd.Close()
 			for r := 1; r <= tc.rounds; r++ {
-				for _, e := range []engine.Runner{seq, con, shd} {
+				for _, e := range []engine.Runner{seq, shd} {
 					if err := e.Step(); err != nil {
 						t.Fatalf("round %d: %v", r, err)
 					}
 				}
-				so, co, ho := seq.Outputs(), con.Outputs(), shd.Outputs()
+				so, ho := seq.Outputs(), shd.Outputs()
 				for i := range so {
-					if !reflect.DeepEqual(so[i], co[i]) {
-						t.Fatalf("round %d agent %d: sequential %v ≠ concurrent %v", r, i, so[i], co[i])
-					}
 					if !reflect.DeepEqual(so[i], ho[i]) {
 						t.Fatalf("round %d agent %d: sequential %v ≠ sharded %v", r, i, so[i], ho[i])
 					}
@@ -297,7 +288,8 @@ func TestShardedPortModel(t *testing.T) {
 	}
 }
 
-// TestShardedLifecycle mirrors the concurrent engine's lifecycle contract.
+// TestShardedLifecycle pins the lifecycle contract: Close is idempotent and
+// Step after Close fails.
 func TestShardedLifecycle(t *testing.T) {
 	f, err := gossip.NewFactory(funcs.Max())
 	if err != nil {

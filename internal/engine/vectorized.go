@@ -2,7 +2,6 @@ package engine
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"sort"
 
@@ -10,50 +9,19 @@ import (
 	"anonnet/internal/topology"
 )
 
-// Vectorized is the zero-allocation kernel runner for linear mass-passing
-// algorithms: agents implementing model.VectorAgent expose their round
-// message as a fixed-width float64 tuple, and the engine executes rounds
-// entirely over two flat n·width SoA buffers — one for the sent rows, one
-// for the per-destination sums — with a gather over the shared topology
-// snapshot's destination-major layout. No message is ever boxed into an
-// interface and the steady-state round loop performs zero heap allocations
-// (asserted by tests and the bench-smoke CI job).
+// This file holds the vector kernel's building blocks, executed by
+// ParallelVec: the vectorizability probe, the per-destination gather with
+// fault fates, the row accumulation, the RNG draw that replays
+// rand.Shuffle, and the pending store of delayed rows.
 //
-// The observable behaviour is identical to the sequential Engine for equal
-// Config: per destination, the contributing rows are gathered in the
+// Per destination, the contributing rows are gathered in the
 // delivery-order invariant (sources ascending, edge insertion order, then
 // due delayed deliveries), permuted by the shared seeded RNG with exactly
-// the rand.Shuffle call the generic engines make, and summed in the
-// permuted order — so float rounding, and hence traces, agree byte for
-// byte. Property tests in vectorized_test.go assert this across seeds,
-// models, async starts, and fault plans.
-type Vectorized struct {
-	*core
-	vecs     []model.VectorAgent // the same agents, through the vector contract
-	width    int
-	universe []float64
-
-	// Double-buffered flat SoA state: agent i's outgoing message occupies
-	// rows[i·w : (i+1)·w]; destination j's component-wise sum accumulates
-	// in sums[j·w : (j+1)·w]. Both are reused round over round.
-	rows   []float64
-	sums   []float64
-	counts []int32
-
-	// gather is the per-destination contribution list, reused across
-	// destinations and rounds: entries ≥ 0 index a source agent's sent
-	// row, entries < 0 are ^k for row k of late (delayed messages come
-	// due).
-	gather []int32
-	// late holds the rows of delayed messages flushed for the current
-	// destination; the rows buffer is rewritten next round, so delayed
-	// rows must be copied out of it and live here until summed.
-	late []float64
-
-	vpend *vecPending
-}
-
-var _ Runner = (*Vectorized)(nil)
+// the draws of the rand.Shuffle call the generic engines make, and summed
+// in the permuted order — so float rounding, and hence traces, agree with
+// the sequential engine byte for byte. Property tests in vectorized_test.go
+// and parallelvec_test.go assert this across seeds, models, async starts,
+// and fault plans.
 
 // ErrNotVectorizable reports that a Config cannot run on the vectorized
 // engine: its factory builds agents that do not implement
@@ -62,67 +30,6 @@ var _ Runner = (*Vectorized)(nil)
 // degradation (the job runner, the facade) match it with errors.Is and
 // fall back to the sequential engine, whose traces are identical anyway.
 var ErrNotVectorizable = errors.New("engine: config is not vectorizable")
-
-// NewVectorized validates cfg, instantiates the agents through the
-// model.VectorAgent contract, and returns a vectorized engine positioned
-// before round 1. It returns an error wrapping ErrNotVectorizable when the
-// algorithm cannot run on the vector kernel.
-func NewVectorized(cfg Config) (*Vectorized, error) {
-	core, vecs, width, universe, err := newVecCore(cfg, "vectorized")
-	if err != nil {
-		return nil, err
-	}
-	n := core.N()
-	v := &Vectorized{
-		core:     core,
-		vecs:     vecs,
-		width:    width,
-		universe: universe,
-		rows:     make([]float64, n*width),
-		sums:     make([]float64, n*width),
-		counts:   make([]int32, n),
-	}
-	if cfg.Faults != nil {
-		v.vpend = newVecPending(n, width)
-	}
-	return v, nil
-}
-
-// newVecCore is the shared constructor half of the vector executors:
-// validate cfg for vectorizability, build the core, and commit every agent
-// to one vector width through model.VectorAgent.
-func newVecCore(cfg Config, name string) (*core, []model.VectorAgent, int, []float64, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, nil, 0, nil, err
-	}
-	if desc, err := model.Lookup(cfg.Kind); err == nil && desc.VecSend == nil {
-		return nil, nil, 0, nil, fmt.Errorf("%w: the %s model's sending function has no fixed-width vector form", ErrNotVectorizable, desc.Name)
-	}
-	core, err := newCore(cfg, name)
-	if err != nil {
-		return nil, nil, 0, nil, err
-	}
-	universe := universeOf(cfg.Inputs)
-	vecs := make([]model.VectorAgent, core.N())
-	width := 0
-	for i, a := range core.agents {
-		va, ok := a.(model.VectorAgent)
-		if !ok {
-			return nil, nil, 0, nil, fmt.Errorf("%w: agent %d (%T) does not implement model.VectorAgent", ErrNotVectorizable, i, a)
-		}
-		w := va.InitVector(universe)
-		if w <= 0 {
-			return nil, nil, 0, nil, fmt.Errorf("%w: agent %d (%T) declined vectorization", ErrNotVectorizable, i, a)
-		}
-		if i == 0 {
-			width = w
-		} else if w != width {
-			return nil, nil, 0, nil, fmt.Errorf("engine: agent %d reports vector width %d, agent 0 reported %d", i, w, width)
-		}
-		vecs[i] = va
-	}
-	return core, vecs, width, universe, nil
-}
 
 // CanVectorize reports whether cfg can run on the vectorized engine, by
 // probing one agent from the factory (every agent of an execution comes
@@ -161,98 +68,13 @@ func universeOf(inputs []model.Input) []float64 {
 	return u
 }
 
-// Width returns the per-message vector width, for white-box tests.
-func (v *Vectorized) Width() int { return v.width }
-
-// Step executes one round with the same semantics (and trace) as
-// Engine.Step: restart, send into the flat rows, destination-major gather
-// with fault fates, seeded shuffle of the contribution order, scatter-add,
-// receive.
-func (v *Vectorized) Step() error { return v.step(v) }
-
-// restart applies the crash-restart channel, re-initializing rebuilt agents
-// through the vector contract so their width commitment stays intact.
-func (v *Vectorized) restart(t int) error {
-	return restartVecAgents(v.core, t, v.vecs, v.universe, v.width)
-}
-
-// restartVecAgents is the crash-restart stage of the vector executors:
-// rebuilt agents re-enter through model.VectorAgent so their width
-// commitment stays intact. Shared by the vectorized and parallel
-// vectorized runners.
-func restartVecAgents(c *core, t int, vecs []model.VectorAgent, universe []float64, width int) error {
-	inj := c.cfg.Faults
-	if inj == nil {
-		return nil
-	}
-	for i := range c.agents {
-		if !inj.Restart(t, i) {
-			continue
-		}
-		a := c.cfg.Factory(c.cfg.Inputs[i])
-		if a == nil {
-			return fmt.Errorf("engine: factory returned nil agent restarting agent %d at round %d", i, t)
-		}
-		va, ok := a.(model.VectorAgent)
-		if !ok {
-			return fmt.Errorf("engine: restarted agent %d (%T) does not implement model.VectorAgent", i, a)
-		}
-		if w := va.InitVector(universe); w != width {
-			return fmt.Errorf("engine: restarted agent %d reports vector width %d, want %d", i, w, width)
-		}
-		c.agents[i], vecs[i] = a, va
-	}
-	return nil
-}
-
-// send has each active agent write its row of the flat rows buffer,
-// through the model's registered vectorization hook.
-func (v *Vectorized) send(t int, snap *topology.Snapshot) error {
-	w := v.width
-	for i, va := range v.vecs {
-		if v.active[i] {
-			v.desc.VecSend(va, snap.OutDegree(i), v.rows[i*w:(i+1)*w:(i+1)*w])
-		}
-	}
-	return nil
-}
-
-// exchange runs destination-major like the sharded engine, fused per
-// destination: gather the contributing rows of destination j in the
-// delivery-order invariant, apply fault fates (self-loops exempt), flush
-// due delayed rows, shuffle the contribution order with the shared seeded
-// RNG, and sum the rows in the shuffled order so float rounding matches
-// the generic engines' Receive exactly.
-func (v *Vectorized) exchange(t int, snap *topology.Snapshot) error {
-	w := v.width
-	view := snap.DstRange(0, v.N())
-	for j := range v.vecs {
-		v.late = v.late[:0]
-		refs := gatherDest(v.core, view, t, j, w, v.rows, v.vpend, v.gather[:0], &v.late, &v.faults)
-		count := len(refs)
-		sum := v.sums[j*w : (j+1)*w]
-		for c := range sum {
-			sum[c] = 0
-		}
-		if v.active[j] {
-			v.messages += int64(count)
-			shuffleRefs(v.rng, refs)
-			accumulateRows(sum, refs, w, v.rows, v.late)
-		}
-		v.counts[j] = int32(count)
-		v.gather = refs[:0]
-	}
-	return nil
-}
-
 // gatherDest builds destination j's contribution list in the delivery-order
 // invariant — sources ascending, edge insertion order, then due delayed
 // rows — applying fault fates (self-loops exempt) with counts recorded in
 // fs. Entries ≥ 0 index a sent row; entries < 0 are ^k for row k of the
-// caller's late scratch (delayed rows come due, appended by vpend.flush).
-// Shared by the vectorized executor (one call per destination, late reset
-// each time) and the parallel vectorized workers (one late scratch per
-// worker for the whole round, so refs survive until the accumulate phase).
+// caller's late scratch (delayed rows come due, appended by vpend.flush;
+// one late scratch per worker for the whole round, so refs survive until
+// the accumulate phase).
 func gatherDest(c *core, view topology.DstView, t, j, w int, rows []float64, vpend *vecPending, refs []int32, late *[]float64, fs *FaultStats) []int32 {
 	snap, inj := view.Snap, c.cfg.Faults
 	switch {
@@ -301,24 +123,11 @@ func gatherDest(c *core, view topology.DstView, t, j, w int, rows []float64, vpe
 	return refs
 }
 
-// receive applies the vector transition functions over the accumulated
-// sums.
-func (v *Vectorized) receive(t int, snap *topology.Snapshot) error {
-	w := v.width
-	for j, va := range v.vecs {
-		if v.active[j] {
-			va.ReceiveVector(v.sums[j*w:(j+1)*w], int(v.counts[j]))
-		}
-	}
-	return nil
-}
-
 // accumulateRows sums the referenced rows into sum, in slice order, one
 // running total per component — the same addition sequence as the generic
 // engines' message loop, so the rounding is identical. The width-1 and
 // width-2 cases keep the totals in registers; they are the hot shapes
-// (Push-Sum averages and Metropolis). Shared by the vectorized and
-// parallel vectorized executors; sum must be zeroed by the caller.
+// (Push-Sum averages and Metropolis). sum must be zeroed by the caller.
 func accumulateRows(sum []float64, refs []int32, w int, rows, late []float64) {
 	switch w {
 	case 1:
@@ -355,22 +164,11 @@ func rowOf(r int32, w int, rows, late []float64) []float64 {
 	return late[k*w : (k+1)*w]
 }
 
-// shuffleRefs applies exactly rand.Shuffle's Fisher–Yates permutation to
-// refs, inlined to spare the hottest loop of the round a per-swap closure
-// call. It must consume the RNG draw-for-draw like rand.Shuffle so
-// vectorized traces stay byte-identical to the generic engines'; the
-// trace-equality property tests fail on any divergence.
-func shuffleRefs(rng *rand.Rand, refs []int32) {
-	for i := len(refs) - 1; i > 0; i-- {
-		j := randInt31n(rng, int32(i+1))
-		refs[i], refs[j] = refs[j], refs[i]
-	}
-}
-
 // randInt31n mirrors math/rand's unexported int31n — the bounded draw
 // rand.Shuffle makes per swap: an unbiased multiply-shift with rejection,
 // consuming Uint32s from the shared source. math/rand is frozen, so the
-// algorithm, and hence the draw sequence, is stable.
+// algorithm, and hence the draw sequence, is stable; the trace-equality
+// property tests fail on any divergence.
 func randInt31n(r *rand.Rand, n int32) int32 {
 	v := r.Uint32()
 	prod := uint64(v) * uint64(n)

@@ -1,6 +1,7 @@
 package engine_test
 
-// Property tests for the fourth runner: the vectorized kernel must be
+// Property tests for the vectorized kernel on its single inline worker
+// (NewParallelVec(cfg, 1), what engine "vec" runs by default): it must be
 // trace-identical — byte for byte — to the sequential engine on every
 // vectorizable workload, across seeds, models, asynchronous starts, and
 // fault plans; it must refuse (never silently mis-run) workloads outside
@@ -182,7 +183,7 @@ func (tc vecCase) config(t *testing.T, n int, seed int64, inj engine.FaultInject
 
 // stepPair steps seq and vec in lockstep and asserts byte-identical outputs
 // after every round, then equal cumulative stats.
-func stepPair(t *testing.T, seq *engine.Engine, vec *engine.Vectorized, rounds int) {
+func stepPair(t *testing.T, seq *engine.Engine, vec *engine.ParallelVec, rounds int) {
 	t.Helper()
 	for r := 1; r <= rounds; r++ {
 		if err := seq.Step(); err != nil {
@@ -218,7 +219,7 @@ func TestVectorizedTraceEquality(t *testing.T) {
 					t.Fatal(err)
 				}
 				cfg2 := tc.config(t, n, seed, nil, nil)
-				vec, err := engine.NewVectorized(cfg2)
+				vec, err := engine.NewParallelVec(cfg2, 1)
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
@@ -243,7 +244,7 @@ func TestVectorizedFaultTraceEquality(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			vec, err := engine.NewVectorized(tc.config(t, n, 23, inj, nil))
+			vec, err := engine.NewParallelVec(tc.config(t, n, 23, inj, nil), 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -269,7 +270,7 @@ func TestVectorizedAsyncStarts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			vec, err := engine.NewVectorized(tc.config(t, n, 23, nil, starts))
+			vec, err := engine.NewParallelVec(tc.config(t, n, 23, nil, starts), 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -281,7 +282,7 @@ func TestVectorizedAsyncStarts(t *testing.T) {
 
 // TestVectorizedNotVectorizable: gossip, minbase, and freqcalc agents do
 // not implement the vector contract, the degree-aware Metropolis variants
-// decline it, and the port model is excluded; NewVectorized must report
+// decline it, and the port model is excluded; NewParallelVec must report
 // ErrNotVectorizable for all of them — the deterministic signal the job
 // runner's fallback keys on — and CanVectorize must never mis-select.
 func TestVectorizedNotVectorizable(t *testing.T) {
@@ -319,9 +320,9 @@ func TestVectorizedNotVectorizable(t *testing.T) {
 			if engine.CanVectorize(cfg) {
 				t.Fatal("CanVectorize mis-selected a non-vectorizable workload")
 			}
-			_, err := engine.NewVectorized(cfg)
+			_, err := engine.NewParallelVec(cfg, 1)
 			if !errors.Is(err, engine.ErrNotVectorizable) {
-				t.Fatalf("NewVectorized err = %v, want ErrNotVectorizable", err)
+				t.Fatalf("NewParallelVec err = %v, want ErrNotVectorizable", err)
 			}
 		})
 	}
@@ -342,13 +343,13 @@ func TestCanVectorizeSelects(t *testing.T) {
 // vectorized round on a static schedule performs zero heap allocations.
 func TestVectorizedZeroAlloc(t *testing.T) {
 	const n = 64
-	vec, err := engine.NewVectorized(engine.Config{
+	vec, err := engine.NewParallelVec(engine.Config{
 		Schedule: dynamic.NewStatic(graph.BidirectionalRing(n)),
 		Kind:     model.OutdegreeAware,
 		Inputs:   caseInputs(n),
 		Factory:  pushsum.NewAverageFactory(),
 		Seed:     9,
-	})
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,12 +371,12 @@ func TestVectorizedZeroAlloc(t *testing.T) {
 
 // TestVectorizedLifecycle mirrors the other engines' lifecycle contract.
 func TestVectorizedLifecycle(t *testing.T) {
-	vec, err := engine.NewVectorized(engine.Config{
+	vec, err := engine.NewParallelVec(engine.Config{
 		Schedule: dynamic.NewStatic(graph.BidirectionalRing(4)),
 		Kind:     model.OutdegreeAware,
 		Inputs:   caseInputs(4),
 		Factory:  pushsum.NewAverageFactory(),
-	})
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,13 +397,13 @@ func TestVectorizedLifecycle(t *testing.T) {
 // to a stable Push-Sum answer, confirming Runner integration end to end.
 func TestVectorizedStableRun(t *testing.T) {
 	const n = 8
-	vec, err := engine.NewVectorized(engine.Config{
+	vec, err := engine.NewParallelVec(engine.Config{
 		Schedule: dynamic.NewStatic(graph.BidirectionalRing(n)),
 		Kind:     model.OutdegreeAware,
 		Inputs:   caseInputs(n),
 		Factory:  pushsum.NewAverageFactory(),
 		Seed:     3,
-	})
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,8 +55,9 @@ func hashTrace(lines []string) string {
 // TestRunCheckpointedResumeMatchesUninterrupted is the PR's acceptance
 // criterion at the job level: a Push-Sum job checkpointed at round K,
 // killed (flush), and resumed produces the byte-identical trace hash and
-// the identical Result of the same spec run uninterrupted — on all four
-// engines, with and without a fault plan.
+// the identical Result of the same spec run uninterrupted — on every
+// engine name ("conc" runs the sequential engine), with and without a
+// fault plan.
 func TestRunCheckpointedResumeMatchesUninterrupted(t *testing.T) {
 	for _, withFaults := range []bool{false, true} {
 		for _, eng := range []string{"seq", "conc", "shard", "vec"} {

@@ -297,20 +297,17 @@ func (c *Compiled) engineConfig() (engine.Config, string) {
 	}
 	// One engine-selection point for the whole repo: engine.NewRunner maps
 	// the spec's engine name to the runner and handles the deterministic
-	// vec→seq fallback (identical traces) itself. The legacy Concurrent
-	// flag folds into "conc".
-	name := c.Spec.Engine
-	if c.Spec.Concurrent {
-		name = "conc"
-	}
-	return cfg, name
+	// vec→seq fallback (identical traces) itself. A spec with the legacy
+	// Concurrent flag has an empty Engine, so it runs sequential — the
+	// retired concurrent engine's trace.
+	return cfg, c.Spec.Engine
 }
 
 // Run executes the compiled job to stabilization (or budget exhaustion)
 // under ctx, reporting each round to obs when non-nil. A context
 // cancellation or deadline aborts at the next round boundary and surfaces
 // the context's error. Equal compiled jobs produce equal results: all
-// four engines are deterministic in the spec's seed.
+// engines are deterministic in the spec's seed.
 func Run(ctx context.Context, c *Compiled, obs engine.Observer) (*Result, error) {
 	cfg, name := c.engineConfig()
 	r, err := engine.NewRunner(cfg, name, c.Spec.Shards)

@@ -133,13 +133,16 @@ type Spec struct {
 	Patience int `json:"patience,omitempty"`
 	// Dynamic forces Table 2 treatment even on a static builder.
 	Dynamic bool `json:"dynamic,omitempty"`
-	// Concurrent selects the goroutine-per-agent engine.
+	// Concurrent selected the retired goroutine-per-agent engine, whose
+	// traces were the sequential engine's; such specs now run on the
+	// sequential engine.
 	//
 	// Deprecated: use Engine instead. Kept because it participates in the
 	// version-1 canonical hash.
 	Concurrent bool `json:"concurrent,omitempty"`
 	// Engine selects the round engine by name: "" or "seq" (sequential,
-	// the default), "conc" (goroutine per agent), "shard" (sharded batch
+	// the default), "conc" (the retired concurrent engine; folds into
+	// Concurrent and runs sequential), "shard" (sharded batch
 	// engine), or "vec" (the vectorized kernel, schema_version ≥ 4; falls
 	// back to sequential — identical traces — when the algorithm is not
 	// vectorizable). "seq" is normalized to "" so version-1 specs hash
@@ -147,8 +150,8 @@ type Spec struct {
 	Engine string `json:"engine,omitempty"`
 	// Shards is the engine's degree of parallelism: the shard count with
 	// engine=shard (0 means one per core), and — schema_version ≥ 5 — the
-	// worker count with engine=vec (0 means the single-threaded kernel,
-	// ≥ 1 the parallel kernel; the trace is identical either way).
+	// worker count with engine=vec (0 means one worker, run inline; the
+	// trace is identical at every count).
 	Shards int `json:"shards,omitempty"`
 	// Starts optionally gives per-agent activation rounds ≥ 1
 	// (asynchronous starts).
@@ -372,9 +375,11 @@ func (s Spec) Canonical() (Spec, error) {
 	switch canon {
 	case "seq":
 		c.Engine = ""
-	case "conc":
-		c.Engine = ""
-		c.Concurrent = true
+		// "conc" resolves to seq now that the concurrent engine is
+		// retired, but still folds into the flag so its hash is unchanged.
+		if name := strings.ToLower(strings.TrimSpace(s.Engine)); name == "conc" || name == "concurrent" {
+			c.Concurrent = true
+		}
 	case "shard":
 		c.Engine = "shard"
 	case "vec":

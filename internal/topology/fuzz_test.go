@@ -3,7 +3,7 @@ package topology_test
 // FuzzSnapshotBuild checks the CSR invariants on random digraphs, with and
 // without churn: degree sums close, every vertex keeps its §2.1 self-loop,
 // and each destination's entries follow the delivery-order invariant —
-// sources ascending, edge insertion order — that makes the four engines'
+// sources ascending, edge insertion order — that makes the engines'
 // traces byte-identical by construction. The reference order is recomputed
 // here from the graph the naive O(n·m) way, independent of the counting
 // sorts in the builder.

@@ -12,7 +12,7 @@
 // adjacency handling. The delivery-order invariant lives here, in one
 // place: within a destination, CSR entries follow the reference engine's
 // inbox fill order (sources ascending, edges in insertion order), which is
-// what makes the four engines' traces byte-identical by construction.
+// what makes the engines' traces byte-identical by construction.
 package topology
 
 import (
