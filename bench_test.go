@@ -583,6 +583,50 @@ func BenchmarkGossipFlooding(b *testing.B) {
 	}
 }
 
+// BenchmarkGossipSteadyRound measures one gossip round after the outputs
+// have stabilized: hypercube d=10, max over values i mod 16, sequential
+// engine. The engine is stepped past stabilization outside the timer, so
+// every timed op is one Step plus one Outputs call on sets that no longer
+// change. The CI bench-smoke job fails when this reports more than
+// 1 allocs/op — the Outputs slice itself; sending, merging and evaluating
+// an unchanged set must not allocate.
+func BenchmarkGossipSteadyRound(b *testing.B) {
+	const d = 10
+	b.ReportAllocs()
+	factory, err := core.NewFactory(funcs.Max(),
+		core.Setting{Kind: model.SimpleBroadcast, Static: true, Row: core.RowNoHelp})
+	if err != nil {
+		b.Fatal(err)
+	}
+	inputs := make([]model.Input, 1<<d)
+	for j := range inputs {
+		inputs[j] = model.Input{Value: float64(j % 16)}
+	}
+	e, err := engine.New(engine.Config{
+		Schedule: dynamic.NewStatic(graph.Hypercube(d)),
+		Kind:     model.SimpleBroadcast,
+		Inputs:   inputs,
+		Factory:  factory,
+		Seed:     1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for t := 0; t < 2*d; t++ { // diameter d: every set is full by round d
+		if err := e.Step(); err != nil {
+			b.Fatal(err)
+		}
+		e.Outputs()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := e.Step(); err != nil {
+			b.Fatal(err)
+		}
+		e.Outputs()
+	}
+}
+
 // BenchmarkServiceThroughput measures jobs/sec through the anonnetd worker
 // pool: "cold" submits b.N distinct computations (unique seeds, no cache
 // reuse possible); "cachehit" submits one computation b.N times, so all

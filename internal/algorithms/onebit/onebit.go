@@ -25,7 +25,6 @@ import (
 
 	"anonnet/internal/funcs"
 	"anonnet/internal/model"
-	"anonnet/internal/multiset"
 )
 
 // Agent is one parity-flooding automaton. Beyond model.BitSender it
@@ -125,7 +124,7 @@ func (a *Agent) Output() model.Value {
 		// so f still gets a nonempty multiset.
 		vals = append(vals, 0)
 	}
-	return a.f.Eval(multiset.New(vals...))
+	return a.f.EvalSet(vals)
 }
 
 // Corrupt scrambles the accumulators and the phase from the junk's low

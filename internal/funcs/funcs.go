@@ -62,6 +62,11 @@ type Func struct {
 	Class Class
 	// Eval computes f on a non-empty multiset of arguments.
 	Eval func(args *Args) float64
+
+	// onSet, when non-nil, is the definition of a set-based f on its
+	// support given as a sorted, duplicate-free slice; Eval is derived
+	// from it, so each such function's logic exists exactly once.
+	onSet func(sorted []float64) float64
 }
 
 // FromVector evaluates f on a plain input vector.
@@ -69,40 +74,70 @@ func (f Func) FromVector(v []float64) float64 {
 	return f.Eval(multiset.New(v...))
 }
 
-// Max returns the maximum function, the canonical set-based example.
-func Max() Func {
-	return Func{Name: "max", Class: SetBased, Eval: func(a *Args) float64 {
-		out := math.Inf(-1)
-		for _, x := range a.Support() {
-			out = math.Max(out, x)
-		}
-		return out
+// EvalSet evaluates f on a set of arguments given as a sorted,
+// duplicate-free slice (each value with multiplicity 1 — immaterial for
+// a set-based f). It uses f's set definition when f has one and falls
+// back to Eval on the equivalent multiset otherwise. The slice is only
+// read.
+func (f Func) EvalSet(sorted []float64) float64 {
+	if f.onSet != nil {
+		return f.onSet(sorted)
+	}
+	return f.Eval(multiset.New(sorted...))
+}
+
+// setBased builds a set-based Func from its definition on a sorted,
+// duplicate-free support; Eval sorts the multiset's support and applies
+// the same definition.
+func setBased(name string, def func(sorted []float64) float64) Func {
+	return Func{Name: name, Class: SetBased, onSet: def, Eval: func(a *Args) float64 {
+		return def(sortedSupport(a))
 	}}
 }
 
-// Min returns the minimum function (set-based).
-func Min() Func {
-	return Func{Name: "min", Class: SetBased, Eval: func(a *Args) float64 {
-		out := math.Inf(1)
-		for _, x := range a.Support() {
-			out = math.Min(out, x)
-		}
-		return out
-	}}
+// sortedSupport returns the distinct values of a in ascending order
+// (sort.Float64s order: NaNs first). Evaluators iterate it instead of the
+// multiset's map so that floating-point sums add their terms in one
+// fixed order and produce bit-identical results from run to run.
+func sortedSupport(a *Args) []float64 {
+	s := a.Support()
+	sort.Float64s(s)
+	return s
 }
+
+// setMax and setMin read the extremes of a sorted support. A NaN sorts
+// first and, as with math.Max and math.Min, poisons the result.
+func setMax(s []float64) float64 {
+	switch {
+	case len(s) == 0:
+		return math.Inf(-1)
+	case math.IsNaN(s[0]):
+		return s[0]
+	}
+	return s[len(s)-1]
+}
+
+func setMin(s []float64) float64 {
+	if len(s) == 0 {
+		return math.Inf(1)
+	}
+	return s[0]
+}
+
+// Max returns the maximum function, the canonical set-based example.
+func Max() Func { return setBased("max", setMax) }
+
+// Min returns the minimum function (set-based).
+func Min() Func { return setBased("min", setMin) }
 
 // SupportSize returns |{ω_1, …, ω_n}| (set-based).
 func SupportSize() Func {
-	return Func{Name: "support-size", Class: SetBased, Eval: func(a *Args) float64 {
-		return float64(a.Distinct())
-	}}
+	return setBased("support-size", func(s []float64) float64 { return float64(len(s)) })
 }
 
 // Range returns max − min (set-based).
 func Range() Func {
-	return Func{Name: "range", Class: SetBased, Eval: func(a *Args) float64 {
-		return Max().Eval(a) - Min().Eval(a)
-	}}
+	return setBased("range", func(s []float64) float64 { return setMax(s) - setMin(s) })
 }
 
 // Average returns the mean (ω_1 + … + ω_n)/n, the paper's canonical
@@ -110,8 +145,8 @@ func Range() Func {
 func Average() Func {
 	return Func{Name: "average", Class: FrequencyBased, Eval: func(a *Args) float64 {
 		s := 0.0
-		for v, c := range a.Counts() {
-			s += v * float64(c)
+		for _, v := range sortedSupport(a) {
+			s += v * float64(a.Count(v))
 		}
 		return s / float64(a.Len())
 	}}
@@ -141,8 +176,8 @@ func ThresholdFreq(omega, r float64) Func {
 func Mode() Func {
 	return Func{Name: "mode", Class: FrequencyBased, Eval: func(a *Args) float64 {
 		best, bestCount := math.Inf(1), -1
-		for v, c := range a.Counts() {
-			if c > bestCount || (c == bestCount && v < best) {
+		for _, v := range sortedSupport(a) {
+			if c := a.Count(v); c > bestCount {
 				best, bestCount = v, c
 			}
 		}
@@ -166,9 +201,9 @@ func Variance() Func {
 	return Func{Name: "variance", Class: FrequencyBased, Eval: func(a *Args) float64 {
 		mu := Average().Eval(a)
 		s := 0.0
-		for v, c := range a.Counts() {
+		for _, v := range sortedSupport(a) {
 			d := v - mu
-			s += d * d * float64(c)
+			s += d * d * float64(a.Count(v))
 		}
 		return s / float64(a.Len())
 	}}
@@ -179,8 +214,8 @@ func Variance() Func {
 func GeometricMean() Func {
 	return Func{Name: "geomean", Class: FrequencyBased, Eval: func(a *Args) float64 {
 		s := 0.0
-		for v, c := range a.Counts() {
-			s += math.Log(v) * float64(c)
+		for _, v := range sortedSupport(a) {
+			s += math.Log(v) * float64(a.Count(v))
 		}
 		return math.Exp(s / float64(a.Len()))
 	}}
@@ -191,8 +226,8 @@ func GeometricMean() Func {
 func Sum() Func {
 	return Func{Name: "sum", Class: MultisetBased, Eval: func(a *Args) float64 {
 		s := 0.0
-		for v, c := range a.Counts() {
-			s += v * float64(c)
+		for _, v := range sortedSupport(a) {
+			s += v * float64(a.Count(v))
 		}
 		return s
 	}}

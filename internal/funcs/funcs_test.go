@@ -144,3 +144,43 @@ func TestVarianceAndGeometricMean(t *testing.T) {
 		}
 	}
 }
+
+func TestEvalSetMatchesEval(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	universe := []float64{-4, -1.5, 0, 0.5, 2, 3, 10}
+	for _, f := range Catalog() {
+		if f.Class == SetBased && f.onSet == nil {
+			t.Errorf("%s: set-based catalog function without a set definition", f.Name)
+		}
+		for trial := 0; trial < 300; trial++ {
+			var sorted []float64
+			for _, v := range universe {
+				if rng.Intn(2) == 0 {
+					continue
+				}
+				if v == 0 && rng.Intn(2) == 0 {
+					v = math.Copysign(0, -1)
+				}
+				sorted = append(sorted, v)
+			}
+			if len(sorted) == 0 {
+				continue
+			}
+			// The multiset repeats each value: a set-based f cannot tell.
+			var elems []float64
+			for _, v := range sorted {
+				for k := rng.Intn(3); k >= 0; k-- {
+					elems = append(elems, v)
+				}
+			}
+			want := f.Eval(args(elems...))
+			if f.Class != SetBased {
+				want = f.Eval(args(sorted...))
+			}
+			got := f.EvalSet(sorted)
+			if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Fatalf("%s: EvalSet(%v) = %v, Eval = %v", f.Name, sorted, got, want)
+			}
+		}
+	}
+}

@@ -114,6 +114,24 @@ func (c *Compiled) ReleaseTopo() {
 	}
 }
 
+// Retained returns the part of c that outlives its execution: Spec,
+// Hash, Fingerprint, N, Setting, Func and Expected. The executable state
+// (Factory, Schedule, Injector, Inputs) and the topology pin are dropped,
+// so a finished job's record costs what its API still serves rather than
+// the whole compiled network. Call it only after ReleaseTopo and once no
+// runner can still use c; the copy shares Spec's slices with c.
+func (c *Compiled) Retained() *Compiled {
+	return &Compiled{
+		Spec:        c.Spec,
+		Hash:        c.Hash,
+		Fingerprint: c.Fingerprint,
+		N:           c.N,
+		Setting:     c.Setting,
+		Func:        c.Func,
+		Expected:    c.Expected,
+	}
+}
+
 // Compile validates the spec, builds the network, dispatches the function
 // to the algorithm realizing the setting's cell, and returns the
 // executable job. Validation failures are *Error; a table-forbidden

@@ -121,6 +121,8 @@ type Spec struct {
 	// Function is a catalog name (average, max, sum, …).
 	Function string `json:"function"`
 	// Values are the private inputs, one per agent (default 1..n).
+	// Canonical builds a fresh slice, and nothing writes it afterwards:
+	// the service shares one canonical Values slice among batch members.
 	Values []float64 `json:"values,omitempty"`
 	// Seed drives delivery-order shuffling and the random builders.
 	Seed int64 `json:"seed,omitempty"`

@@ -2,6 +2,7 @@ package job
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"testing"
@@ -568,5 +569,37 @@ func TestCompileDynamicAndConcurrent(t *testing.T) {
 	// Push-Sum without help converges asymptotically, not exactly.
 	if res.Rounds == 0 {
 		t.Fatalf("no rounds executed: %+v", res)
+	}
+}
+
+// TestRunRepeatsBitIdentical runs a frequency-based dynamic job twice and
+// requires bit-identical outputs: the evaluator must sum its terms in a
+// fixed order, not in the random order of a Go map, or the last bits of
+// an asymptotic output vary from run to run.
+func TestRunRepeatsBitIdentical(t *testing.T) {
+	const raw = `{"graph":{"builder":"randomdyn","n":16},"kind":"od","function":"average","seed":5,"max_rounds":300}`
+	run := func() []F64 {
+		var s Spec
+		if err := json.Unmarshal([]byte(raw), &s); err != nil {
+			t.Fatal(err)
+		}
+		c, err := Compile(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(context.Background(), c, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Outputs
+	}
+	first := run()
+	for rep := 0; rep < 4; rep++ {
+		again := run()
+		for i := range first {
+			if math.Float64bits(float64(first[i])) != math.Float64bits(float64(again[i])) {
+				t.Fatalf("repeat %d: output %d = %v, first run %v", rep+1, i, again[i], first[i])
+			}
+		}
 	}
 }

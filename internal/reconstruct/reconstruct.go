@@ -21,8 +21,10 @@ type Args = multiset.Multiset[float64]
 // δ-continuous in frequency, evaluating on this multiset converges to f(v)
 // as the quotients converge (Cor. 5.5).
 func Approximate(x map[float64]float64, q int) (*Args, bool) {
+	keys := sortedKeys(x)
 	total := 0.0
-	for _, v := range x {
+	for _, w := range keys { // fixed order: the total's bits feed every count
+		v := x[w]
 		if math.IsInf(v, 0) || math.IsNaN(v) || v < 0 {
 			return nil, false
 		}
@@ -32,8 +34,8 @@ func Approximate(x map[float64]float64, q int) (*Args, bool) {
 		return nil, false
 	}
 	m := multiset.New[float64]()
-	for w, v := range x {
-		m.AddN(w, int(math.Round(v/total*float64(q))))
+	for _, w := range keys {
+		m.AddN(w, int(math.Round(x[w]/total*float64(q))))
 	}
 	return m, m.Len() > 0
 }
@@ -77,12 +79,7 @@ func Rounded(x map[float64]float64, n int) (*Args, bool) {
 // Cor. 5.4, scale = ℓ for the leader variant of §5.5.
 func Counts(x map[float64]float64, scale float64) (*Args, bool) {
 	m := multiset.New[float64]()
-	keys := make([]float64, 0, len(x))
-	for w := range x {
-		keys = append(keys, w)
-	}
-	sort.Float64s(keys)
-	for _, w := range keys {
+	for _, w := range sortedKeys(x) {
 		v := x[w]
 		if math.IsInf(v, 0) || math.IsNaN(v) {
 			continue
@@ -92,6 +89,18 @@ func Counts(x map[float64]float64, scale float64) (*Args, bool) {
 		}
 	}
 	return m, m.Len() > 0
+}
+
+// sortedKeys returns the values of x in ascending order, so that sums
+// over the estimates add their terms in one fixed order and repeat runs
+// agree to the bit.
+func sortedKeys(x map[float64]float64) []float64 {
+	keys := make([]float64, 0, len(x))
+	for w := range x {
+		keys = append(keys, w)
+	}
+	sort.Float64s(keys)
+	return keys
 }
 
 func lcm64(a, b int64) int64 { return a / gcd64(a, b) * b }

@@ -12,8 +12,10 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -293,9 +295,9 @@ type Stats struct {
 	AffinityHits       int64 `json:"affinity_hits"`
 	AffinityMisses     int64 `json:"affinity_misses"`
 	Queued             int   `json:"queued"`
-	Running         int   `json:"running"`
-	CacheEntries    int   `json:"cache_entries"`
-	Workers         int   `json:"workers"`
+	Running            int   `json:"running"`
+	CacheEntries       int   `json:"cache_entries"`
+	Workers            int   `json:"workers"`
 }
 
 // Service is the concurrent simulation service.
@@ -449,6 +451,7 @@ func (s *Service) submitLocked(compiled *job.Compiled) (*entry, error) {
 	}
 	if res, ok := s.resultForHash(e.hash); ok {
 		compiled.ReleaseTopo()
+		retire(e)
 		e.state = StateDone
 		e.result = res
 		e.cacheHit = true
@@ -778,6 +781,7 @@ func (s *Service) SubmitBatch(specs []job.Spec) (*Batch, error) {
 		}
 		compiled[i] = c
 	}
+	shareValues(compiled)
 	// Affinity grouping: enqueue in fingerprint order (stable, so
 	// same-graph jobs keep their relative submission order).
 	enq := make([]int, len(compiled))
@@ -832,6 +836,23 @@ func (s *Service) SubmitBatch(specs []job.Spec) (*Batch, error) {
 	}
 	s.batches[bid] = ids
 	return s.batchLocked(bid, ids), nil
+}
+
+// shareValues points each batch member's canonical Values at the previous
+// member's slice when the two are bit-identical, so a template×seeds
+// sweep retains one values vector instead of one per member. Sharing is
+// safe because nothing writes Spec.Values once Spec.Canonical has built
+// it: Compile only reads it (into Inputs and Expected), and the service
+// only marshals it.
+func shareValues(compiled []*job.Compiled) {
+	for i := 1; i < len(compiled); i++ {
+		prev, cur := compiled[i-1].Spec.Values, compiled[i].Spec.Values
+		if slices.EqualFunc(prev, cur, func(a, b float64) bool {
+			return math.Float64bits(a) == math.Float64bits(b)
+		}) {
+			compiled[i].Spec.Values = prev
+		}
+	}
 }
 
 // GetBatch returns an aggregate snapshot of batch id.
@@ -966,6 +987,7 @@ func (s *Service) cancelFollowerLocked(f *entry) {
 	expCanceled.Add(1)
 	s.persist(store.Record{JobID: f.id, Hash: f.hash, State: store.StateCanceled})
 	s.finishLocked(f)
+	retire(f) // a follower never runs; its pin was released on attach
 	for i, g := range lead.followers {
 		if g == f {
 			lead.followers = append(lead.followers[:i], lead.followers[i+1:]...)
@@ -1209,8 +1231,9 @@ func (s *Service) runOne(e *entry) {
 	if e.canceled {
 		// Canceled while queued: Cancel already made it terminal (and
 		// detached any followers before setting the flag).
-		s.mu.Unlock()
 		e.compiled.ReleaseTopo()
+		retire(e)
+		s.mu.Unlock()
 		return
 	}
 	if s.shutdown {
@@ -1293,6 +1316,23 @@ func (s *Service) runOne(e *entry) {
 	e.cancel = nil
 	s.settleLocked(e, res, err)
 	e.compiled.ReleaseTopo()
+	for _, m := range append([]*entry{e}, e.followers...) {
+		if m.state.Terminal() {
+			retire(m)
+		}
+	}
+}
+
+// retire shrinks a terminal entry's compiled job to its retained copy
+// (job.Compiled.Retained): the record keeps what Get, List, the watch
+// stream and a durable backfill still serve — spec, hash, expected value
+// — and drops the inputs, network, agent factory and fault injector.
+// Every caller holds s.mu, has already released the entry's topology pin,
+// and owns the last possible use of the executable state: the worker that
+// ran or skipped it, the submitter of a job born done, or the canceler of
+// a follower (which never runs).
+func retire(e *entry) {
+	e.compiled = e.compiled.Retained()
 }
 
 // settleLocked applies one finished execution to its leader and every
