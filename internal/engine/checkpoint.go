@@ -330,12 +330,13 @@ type CheckpointPolicy struct {
 	Flush <-chan struct{}
 }
 
-// RunUntilStableCheckpointedCtx is RunUntilStableCtx with a checkpoint
-// policy: it restores pol.Resume first (when set), snapshots the execution
-// every pol.Every rounds through pol.Save, and answers a pol.Flush request
-// with a final checkpoint and ErrInterrupted. The stability window state
-// travels inside the checkpoint, so a resumed run stabilizes at exactly
-// the round an uninterrupted one does.
+// RunUntilStableCheckpointedCtx is the stability loop, run under a
+// checkpoint policy: it restores pol.Resume first (when set), snapshots
+// the execution every pol.Every rounds through pol.Save, and answers a
+// pol.Flush request with a final checkpoint and ErrInterrupted. The zero
+// policy needs no Checkpointer; RunUntilStableCtx is this loop under it.
+// The stability window state travels inside the checkpoint, so a resumed
+// run stabilizes at exactly the round an uninterrupted one does.
 func RunUntilStableCheckpointedCtx(ctx context.Context, r Runner, met model.Metric, patience, maxRounds int, obs Observer, pol CheckpointPolicy) (*StableResult, error) {
 	if patience < 1 {
 		return nil, fmt.Errorf("engine: RunUntilStable: patience %d, want ≥ 1", patience)

@@ -45,40 +45,10 @@ func RunUntilStable(r Runner, met model.Metric, patience, maxRounds int) (*Stabl
 // optional per-round observer. The context is checked between rounds, so a
 // cancellation or deadline aborts the execution at the next round boundary
 // with the context's error; obs (when non-nil) is invoked after every
-// round. Both engines are driven through this loop, so the context bounds
-// sequential and concurrent executions alike.
+// round. It is RunUntilStableCheckpointedCtx under the zero policy — one
+// stability loop drives every engine and every job.
 func RunUntilStableCtx(ctx context.Context, r Runner, met model.Metric, patience, maxRounds int, obs Observer) (*StableResult, error) {
-	if patience < 1 {
-		return nil, fmt.Errorf("engine: RunUntilStable: patience %d, want ≥ 1", patience)
-	}
-	prev := r.Outputs()
-	stableSince := 0
-	unchanged := 0
-	for t := 1; t <= maxRounds; t++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("engine: run aborted after %d rounds: %w", r.Round(), err)
-		}
-		if err := r.Step(); err != nil {
-			return nil, err
-		}
-		cur := r.Outputs()
-		if obs != nil {
-			obs(r.Round(), cur)
-		}
-		if outputsEqual(prev, cur, met) {
-			if unchanged == 0 {
-				stableSince = r.Round() - 1
-			}
-			unchanged++
-			if unchanged >= patience {
-				return &StableResult{Stable: true, StabilizedAt: stableSince, Rounds: r.Round(), Outputs: cur}, nil
-			}
-		} else {
-			unchanged = 0
-		}
-		prev = cur
-	}
-	return &StableResult{Stable: false, Rounds: r.Round(), Outputs: prev}, nil
+	return RunUntilStableCheckpointedCtx(ctx, r, met, patience, maxRounds, obs, CheckpointPolicy{})
 }
 
 func outputsEqual(a, b []model.Value, met model.Metric) bool {

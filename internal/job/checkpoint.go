@@ -34,44 +34,21 @@ type CheckpointConfig struct {
 // drain). An interrupted run surfaces an error wrapping
 // engine.ErrInterrupted after its final checkpoint reached cfg.Save.
 func RunCheckpointed(ctx context.Context, c *Compiled, obs engine.Observer, ck CheckpointConfig) (*Result, error) {
-	cfg, name := c.engineConfig()
-	r, err := engine.NewRunner(cfg, name, c.Spec.Shards)
+	r, err := c.NewRunner()
 	if err != nil {
 		return nil, err
 	}
 	defer r.Close()
-
-	var res *engine.StableResult
-	if engine.CanCheckpoint(r) {
-		pol := engine.CheckpointPolicy{Every: ck.Every, Flush: ck.Flush}
-		if ck.Save != nil {
-			pol.Save = func(cp *engine.Checkpoint) error {
-				blob, err := cp.Encode()
-				if err != nil {
-					return err
-				}
-				return ck.Save(cp.Round, blob)
-			}
-		}
-		if ck.Resume != nil {
-			cp, err := engine.DecodeCheckpoint(ck.Resume)
-			if err != nil {
-				return nil, fmt.Errorf("job: resume checkpoint: %w", err)
-			}
-			pol.Resume = cp
-		}
-		res, err = engine.RunUntilStableCheckpointedCtx(ctx, r, model.Discrete, c.Spec.Patience, c.Spec.MaxRounds, obs, pol)
-	} else {
-		if ck.Resume != nil {
-			return nil, fmt.Errorf("job: %w: spec %s has a resume checkpoint but its algorithm cannot restore one",
-				engine.ErrNotCheckpointable, c.Hash)
-		}
-		res, err = engine.RunUntilStableCtx(ctx, r, model.Discrete, c.Spec.Patience, c.Spec.MaxRounds, obs)
+	pol, err := ck.policy(r, c.Hash)
+	if err != nil {
+		return nil, err
 	}
+	res, err := engine.RunUntilStableCheckpointedCtx(ctx, r, model.Discrete, c.Spec.Patience, c.Spec.MaxRounds, obs, pol)
 	if err != nil {
 		return nil, err
 	}
 	outputs, maxErr := Numeric(res.Outputs, c.Expected)
+	st := r.Stats()
 	out := &Result{
 		Outputs:      outputs,
 		Stable:       res.Stable,
@@ -79,11 +56,45 @@ func RunCheckpointed(ctx context.Context, c *Compiled, obs engine.Observer, ck C
 		Rounds:       res.Rounds,
 		Expected:     F64(c.Expected),
 		MaxErr:       F64(maxErr),
-		Messages:     r.Stats().MessagesDelivered,
+		Messages:     st.MessagesDelivered,
 	}
 	if c.Injector != nil {
-		fs := r.Stats().Faults
-		out.Faults = &FaultCounts{Dropped: fs.Dropped, Duplicated: fs.Duplicated, Delayed: fs.Delayed}
+		out.Faults = &FaultCounts{Dropped: st.Faults.Dropped, Duplicated: st.Faults.Duplicated, Delayed: st.Faults.Delayed}
 	}
 	return out, nil
+}
+
+// policy translates ck into the engine's checkpoint policy for r. A
+// config that asks for no checkpointing yields the zero policy without
+// inspecting the agents; a runner whose algorithm cannot checkpoint gets
+// the zero policy too, unless ck carries a Resume blob it cannot restore.
+func (ck CheckpointConfig) policy(r engine.Runner, hash string) (engine.CheckpointPolicy, error) {
+	if ck.Every <= 0 && ck.Resume == nil && ck.Flush == nil {
+		return engine.CheckpointPolicy{}, nil
+	}
+	if !engine.CanCheckpoint(r) {
+		if ck.Resume != nil {
+			return engine.CheckpointPolicy{}, fmt.Errorf("job: %w: spec %s has a resume checkpoint but its algorithm cannot restore one",
+				engine.ErrNotCheckpointable, hash)
+		}
+		return engine.CheckpointPolicy{}, nil
+	}
+	pol := engine.CheckpointPolicy{Every: ck.Every, Flush: ck.Flush}
+	if ck.Save != nil {
+		pol.Save = func(cp *engine.Checkpoint) error {
+			blob, err := cp.Encode()
+			if err != nil {
+				return err
+			}
+			return ck.Save(cp.Round, blob)
+		}
+	}
+	if ck.Resume != nil {
+		cp, err := engine.DecodeCheckpoint(ck.Resume)
+		if err != nil {
+			return engine.CheckpointPolicy{}, fmt.Errorf("job: resume checkpoint: %w", err)
+		}
+		pol.Resume = cp
+	}
+	return pol, nil
 }

@@ -287,11 +287,11 @@ type FaultCounts struct {
 	Delayed    int64 `json:"delayed"`
 }
 
-// engineConfig assembles the engine.Config and runner name for a compiled
-// job — the one Config-construction point shared by Run and
-// RunCheckpointed, so the sweep fast path's shared snapshot is wired (or
-// not) identically on both execution paths.
-func (c *Compiled) engineConfig() (engine.Config, string) {
+// NewRunner constructs the round engine for c — the one place a compiled
+// job becomes an engine.Config, so every front end (the service, the
+// checkpointed path, the CLI) wires the shared snapshot, the fault
+// injector and the engine selection identically.
+func (c *Compiled) NewRunner() (engine.Runner, error) {
 	cfg := engine.Config{
 		Schedule: c.Schedule,
 		Kind:     c.Setting.Kind,
@@ -318,40 +318,17 @@ func (c *Compiled) engineConfig() (engine.Config, string) {
 	// vec→seq fallback (identical traces) itself. A spec with the legacy
 	// Concurrent flag has an empty Engine, so it runs sequential — the
 	// retired concurrent engine's trace.
-	return cfg, c.Spec.Engine
+	return engine.NewRunner(cfg, c.Spec.Engine, c.Spec.Shards)
 }
 
 // Run executes the compiled job to stabilization (or budget exhaustion)
 // under ctx, reporting each round to obs when non-nil. A context
 // cancellation or deadline aborts at the next round boundary and surfaces
 // the context's error. Equal compiled jobs produce equal results: all
-// engines are deterministic in the spec's seed.
+// engines are deterministic in the spec's seed. It is RunCheckpointed
+// without checkpoints.
 func Run(ctx context.Context, c *Compiled, obs engine.Observer) (*Result, error) {
-	cfg, name := c.engineConfig()
-	r, err := engine.NewRunner(cfg, name, c.Spec.Shards)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	res, err := engine.RunUntilStableCtx(ctx, r, model.Discrete, c.Spec.Patience, c.Spec.MaxRounds, obs)
-	if err != nil {
-		return nil, err
-	}
-	outputs, maxErr := Numeric(res.Outputs, c.Expected)
-	out := &Result{
-		Outputs:      outputs,
-		Stable:       res.Stable,
-		StabilizedAt: res.StabilizedAt,
-		Rounds:       res.Rounds,
-		Expected:     F64(c.Expected),
-		MaxErr:       F64(maxErr),
-		Messages:     r.Stats().MessagesDelivered,
-	}
-	if c.Injector != nil {
-		fs := r.Stats().Faults
-		out.Faults = &FaultCounts{Dropped: fs.Dropped, Duplicated: fs.Duplicated, Delayed: fs.Delayed}
-	}
-	return out, nil
+	return RunCheckpointed(ctx, c, obs, CheckpointConfig{})
 }
 
 // Numeric converts an engine output vector to serializable floats and

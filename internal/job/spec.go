@@ -54,9 +54,10 @@ func errf(field, format string, args ...any) *Error {
 	return &Error{Field: field, Reason: fmt.Sprintf(format, args...)}
 }
 
-// GraphSpec names a network builder and its parameters. Exactly the
-// builders of cmd/anonsim are supported; dimensioned families (torus, de
-// Bruijn, hypercube) use K/D/Rows/Cols instead of N.
+// GraphSpec names a network builder and its parameters; dimensioned
+// families (torus, de Bruijn, hypercube) use K/D/Rows/Cols instead of N.
+// This is the one builder table: cmd/anonsim's -graph flag is parsed into
+// a GraphSpec and compiled here, like every service job.
 type GraphSpec struct {
 	// Builder is one of: ring, bidiring, star, path, complete, hypercube,
 	// debruijn, torus, random, randomsym, geometric, splitring, randomdyn,
@@ -77,6 +78,13 @@ type GraphSpec struct {
 	// (default 0.35).
 	Radius float64 `json:"radius,omitempty"`
 }
+
+// FaultPlan and ChurnPlan name the type of Spec.Faults, so front ends that
+// build a Spec from their own flags need not import internal/faults.
+type (
+	FaultPlan = faults.Plan
+	ChurnPlan = faults.ChurnPlan
+)
 
 // SpecSchemaVersion is the current job-spec schema version. Version 1 is
 // the original unversioned shape; version 2 adds the engine/shards
@@ -307,7 +315,11 @@ func lookupFunc(name string) (funcs.Func, *Error) {
 			return f, nil
 		}
 	}
-	return funcs.Func{}, errf("function", "unknown function %q", name)
+	var names []string
+	for _, f := range funcs.Catalog() {
+		names = append(names, f.Name)
+	}
+	return funcs.Func{}, errf("function", "unknown function %q (catalog: %s)", name, strings.Join(names, ", "))
 }
 
 // Canonical validates s and returns its canonical form: aliases

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"anonnet/internal/model"
@@ -59,18 +60,34 @@ func TestCanonicalDefaults(t *testing.T) {
 
 func TestHashInsensitiveToSpelling(t *testing.T) {
 	a := Spec{Graph: GraphSpec{Builder: "ring", N: 4}, Kind: "od", Function: "average"}
-	b := Spec{Graph: GraphSpec{Builder: "RING", N: 4}, Kind: "outdegree", Row: "none",
-		Function: "AVERAGE", Values: []float64{1, 2, 3, 4}, MaxRounds: 10000, Patience: 18}
-	ha, err := a.Hash()
-	if err != nil {
-		t.Fatal(err)
+	ring := GraphSpec{Builder: "ring", N: 4}
+	pairs := [][2]Spec{
+		{a, {Graph: GraphSpec{Builder: "RING", N: 4}, Kind: "outdegree", Row: "none",
+			Function: "AVERAGE", Values: []float64{1, 2, 3, 4}, MaxRounds: 10000, Patience: 18}},
+		{{Graph: ring, Kind: "od", Row: "size", Function: "sum"},
+			{Graph: ring, Kind: "od", Row: "n", Function: "sum"}},
+		{{Graph: ring, Kind: "od", Row: "leader", Leaders: []int{0}, Function: "sum"},
+			{Graph: ring, Kind: "od", Row: "LEADERS", Leaders: []int{0, 0}, Function: "sum"}},
+		// Binary-input models default to the alternating 0/1 pattern.
+		{{Graph: ring, Kind: "onebit", Function: "max"},
+			{Graph: ring, Kind: "one-bit broadcast", Function: "max", Values: []float64{0, 1, 0, 1}}},
 	}
-	hb, err := b.Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ha != hb {
-		t.Fatalf("equivalent specs hash differently:\n%s\n%s", ha, hb)
+	var ha string
+	for i, p := range pairs {
+		h0, err := p[0].Hash()
+		if err != nil {
+			t.Fatalf("pair %d: %v", i, err)
+		}
+		h1, err := p[1].Hash()
+		if err != nil {
+			t.Fatalf("pair %d: %v", i, err)
+		}
+		if h0 != h1 {
+			t.Fatalf("pair %d: equivalent specs hash differently:\n%s\n%s", i, h0, h1)
+		}
+		if i == 0 {
+			ha = h0
+		}
 	}
 	// A semantic difference must change the hash.
 	c := a
@@ -381,6 +398,11 @@ func TestValidationErrors(t *testing.T) {
 				t.Fatalf("error field = %q, want %q (%v)", verr.Field, tc.field, verr)
 			}
 		})
+	}
+	// The unknown-function rejection lists the catalog.
+	_, err := Spec{Graph: GraphSpec{Builder: "ring", N: 4}, Kind: "od", Function: "entropy"}.Canonical()
+	if err == nil || !strings.Contains(err.Error(), "average") {
+		t.Fatalf("unknown-function error does not list the catalog: %v", err)
 	}
 }
 
