@@ -222,7 +222,7 @@ func BenchmarkMinBaseStabilization(b *testing.B) {
 			b.ReportAllocs()
 			measured := 0
 			for i := 0; i < b.N; i++ {
-				factory, err := freqcalc.NewFactory(model.OutdegreeAware, funcs.Average(), freqcalc.None)
+				factory, err := freqcalc.NewFactory(model.OutdegreeAware, funcs.Average(), model.Help{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -302,9 +302,7 @@ func BenchmarkExactRounding(b *testing.B) {
 			b.ReportAllocs()
 			stabilized := 0
 			for i := 0; i < b.N; i++ {
-				factory, err := pushsum.NewFrequencyFactory(pushsum.FrequencyConfig{
-					F: funcs.Average(), Mode: pushsum.RoundToBound, BoundN: bound,
-				})
+				factory, err := pushsum.NewFrequencyFactory(funcs.Average(), model.Help{BoundN: bound})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -184,7 +184,7 @@ func figMinbaseRounds(seed int64) (*report.Table, bool) {
 	for _, c := range cases {
 		n, d := c.g.N(), c.g.Diameter()
 		inputs := inputsMod3(n)
-		factory, err := freqcalc.NewFactory(model.OutdegreeAware, funcs.Average(), freqcalc.None)
+		factory, err := freqcalc.NewFactory(model.OutdegreeAware, funcs.Average(), model.Help{})
 		if err != nil {
 			fmt.Println("  !", err)
 			return tb, false
@@ -286,9 +286,7 @@ func figExactRounding(seed int64) (*report.Table, bool) {
 	inputs := inputsMod3(n)
 	ok := true
 	for _, bound := range []int{6, 12, 24, 48} {
-		factory, err := pushsum.NewFrequencyFactory(pushsum.FrequencyConfig{
-			F: funcs.Average(), Mode: pushsum.RoundToBound, BoundN: bound,
-		})
+		factory, err := pushsum.NewFrequencyFactory(funcs.Average(), model.Help{BoundN: bound})
 		if err != nil {
 			fmt.Println("  !", err)
 			return tb, false

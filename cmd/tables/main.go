@@ -11,10 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"anonnet/internal/core"
 	"anonnet/internal/dynamic"
@@ -78,10 +78,10 @@ func representative(c funcs.Class) funcs.Func {
 // inputsFor builds the standard verification input: values 1, 2, 2
 // repeated — or 1, 0, 0 for binary-input models like onebit — plus a
 // leader mark on agent 0 when the row needs one.
-func inputsFor(kind model.Kind, n int, row core.Row) []model.Input {
+func inputsFor(d *model.Descriptor, n int, row core.Row) []model.Input {
 	out := make([]model.Input, n)
 	pattern := []float64{1, 2, 2}
-	if d, err := model.Lookup(kind); err == nil && d.BinaryInputs {
+	if d.BinaryInputs {
 		pattern = []float64{1, 0, 0}
 	}
 	for i := range out {
@@ -108,32 +108,33 @@ func (r *runner) setting(kind model.Kind, row core.Row, static bool) core.Settin
 	}
 }
 
-// staticNetwork picks a representative strongly connected network for the
-// model.
-func staticNetwork(kind model.Kind, n int) *graph.Graph {
-	switch kind {
-	case model.Symmetric:
+// staticNetwork picks a representative strongly connected network in the
+// model's graph class.
+func staticNetwork(d *model.Descriptor, n int) *graph.Graph {
+	switch d.Lifting {
+	case model.LiftSymmetric:
 		return graph.BidirectionalRing(n)
-	case model.OutputPortAware:
+	case model.LiftCovering:
 		return graph.Ring(n).AssignPorts()
 	default:
 		return graph.Ring(n)
 	}
 }
 
-// tableKinds derives each table's model rows from the registry: every
+// tableModels derives each table's model rows from the registry: every
 // registered model gets a Table 1 row, and every model meaningful on
-// dynamic networks (not StaticOnly) gets a Table 2 row — so a newly
-// registered model appears in the matrix without touching this command.
-func tableKinds(static bool) []model.Kind {
-	var kinds []model.Kind
+// dynamic networks (all but the port-labelled coverings) gets a Table 2
+// row — so a newly registered model appears in the matrix without
+// touching this command.
+func tableModels(static bool) []*model.Descriptor {
+	var descs []*model.Descriptor
 	for _, d := range model.Descriptors() {
-		if !static && d.StaticOnly {
+		if !static && d.Lifting == model.LiftCovering {
 			continue
 		}
-		kinds = append(kinds, d.Kind)
+		descs = append(descs, d)
 	}
-	return kinds
+	return descs
 }
 
 func (r *runner) table1() bool {
@@ -155,16 +156,11 @@ func (r *runner) runTable(title string, static bool) bool {
 	}
 	tab := report.NewTable(title, header...)
 	ok := true
-	for _, kind := range tableKinds(static) {
-		cells := []any{kind.String()}
+	for _, d := range tableModels(static) {
+		cells := []any{d.Name}
 		for _, row := range core.Rows() {
-			var cell core.Cell
-			if static {
-				cell = core.StaticCell(kind, row)
-			} else {
-				cell = core.DynamicCell(kind, row)
-			}
-			status := r.verifyPositive(kind, row, static, cell) && r.verifyNegative(kind, row, static, cell)
+			cell := r.setting(d.Kind, row, static).Cell()
+			status := r.verifyPositive(d, row, static, cell) && r.verifyNegative(d, row, static, cell)
 			mark := "✓"
 			if !status {
 				mark = "✗"
@@ -183,7 +179,8 @@ func (r *runner) runTable(title string, static bool) bool {
 
 // verifyPositive runs the cell's algorithm on the cell's representative
 // function and checks convergence to the true value.
-func (r *runner) verifyPositive(kind model.Kind, row core.Row, static bool, cell core.Cell) bool {
+func (r *runner) verifyPositive(d *model.Descriptor, row core.Row, static bool, cell core.Cell) bool {
+	kind := d.Kind
 	f := representative(cell.Class)
 	if cell.Open && cell.ContinuityOnly {
 		// Open cells: verify the known lower bound (continuous
@@ -193,20 +190,20 @@ func (r *runner) verifyPositive(kind model.Kind, row core.Row, static bool, cell
 	s := r.setting(kind, row, static)
 	factory, err := core.NewFactory(f, s)
 	if err != nil {
-		if strings.Contains(err.Error(), "Di Luna") {
+		if errors.Is(err, core.ErrNotReimplemented) {
 			r.logf("%v/%v: positive half delegated to Di Luna & Viglietta's algorithm (not reimplemented, DESIGN.md §6)", kind, row)
 			return true
 		}
 		fmt.Printf("    ! %v/%v: no factory: %v\n", kind, row, err)
 		return false
 	}
-	inputs := inputsFor(kind, r.n, row)
+	inputs := inputsFor(d, r.n, row)
 	want := expected(f, inputs)
 	var schedule dynamic.Schedule
 	switch {
 	case static:
-		schedule = dynamic.NewStatic(staticNetwork(kind, r.n))
-	case kind == model.Symmetric:
+		schedule = dynamic.NewStatic(staticNetwork(d, r.n))
+	case d.Lifting == model.LiftSymmetric:
 		schedule = &dynamic.RandomConnected{Vertices: r.n, ExtraEdges: 1, Seed: r.seed}
 	case kind == model.OneBitBroadcast:
 		// The alternating one-bit flood has period 2 and can resonate with
@@ -240,7 +237,8 @@ func (r *runner) verifyPositive(kind model.Kind, row core.Row, static bool, cell
 // verifyNegative regenerates the cell's upper bound: a function one class
 // up must (a) be refused by the dispatcher and (b) be witnessed
 // indistinguishable by the §4.1 construction.
-func (r *runner) verifyNegative(kind model.Kind, row core.Row, static bool, cell core.Cell) bool {
+func (r *runner) verifyNegative(d *model.Descriptor, row core.Row, static bool, cell core.Cell) bool {
+	kind := d.Kind
 	if cell.Class == funcs.MultisetBased || cell.Open {
 		return true // nothing above multiset-based (Lemma 3.3); open cells have no proven ceiling
 	}
@@ -252,7 +250,7 @@ func (r *runner) verifyNegative(kind model.Kind, row core.Row, static bool, cell
 		fmt.Printf("    ! %v/%v: dispatcher accepted %s beyond the cell's class\n", kind, row, above.Name)
 		return false
 	}
-	if kind == model.OneBitBroadcast {
+	if d.BinaryInputs {
 		// One bit per round is a syntactic restriction of simple broadcast
 		// (σ : Q → {0,1} ⊆ σ : Q → M), so the set-based ceiling is
 		// inherited from the broadcast witness verified above; the witness
@@ -264,9 +262,10 @@ func (r *runner) verifyNegative(kind model.Kind, row core.Row, static bool, cell
 	if !static {
 		return true // dynamic negative cells inherit from the static witnesses
 	}
-	// Fibration witness. Broadcast: same set, different frequencies.
-	// Others: same frequencies, different sizes (sum ceiling).
-	if kind == model.SimpleBroadcast {
+	// Fibration witness. A blind cast lifts along any fibration: same set,
+	// different frequencies. Others: same frequencies, different sizes
+	// (sum ceiling).
+	if d.Lifting == model.LiftAny {
 		factory, err := core.NewFactory(funcs.Max(), r.setting(kind, row, static))
 		if err != nil {
 			fmt.Printf("    ! %v/%v: witness factory: %v\n", kind, row, err)
@@ -287,7 +286,7 @@ func (r *runner) verifyNegative(kind model.Kind, row core.Row, static bool, cell
 		return false
 	}
 	witnessKind := kind
-	if kind == model.Symmetric {
+	if d.Lifting == model.LiftSymmetric {
 		// The §4.1 ring construction uses directed rings; symmetric
 		// equivalence (Theorem 4.1) lets the od witness stand in.
 		witnessKind = model.OutdegreeAware

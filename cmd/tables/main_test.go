@@ -21,13 +21,13 @@ func TestRepresentativeCoversClasses(t *testing.T) {
 }
 
 func TestInputsForMarksLeaderOnlyWhenAsked(t *testing.T) {
-	plain := inputsFor(model.OutdegreeAware, 6, core.RowNoHelp)
+	plain := inputsFor(desc(t, model.OutdegreeAware), 6, core.RowNoHelp)
 	for i, in := range plain {
 		if in.Leader {
 			t.Fatalf("agent %d marked leader without the leader row", i)
 		}
 	}
-	withLeader := inputsFor(model.OutdegreeAware, 6, core.RowLeader)
+	withLeader := inputsFor(desc(t, model.OutdegreeAware), 6, core.RowLeader)
 	if !withLeader[0].Leader {
 		t.Fatal("leader row did not mark agent 0")
 	}
@@ -43,7 +43,7 @@ func TestInputsForMarksLeaderOnlyWhenAsked(t *testing.T) {
 }
 
 func TestExpectedMatchesFunction(t *testing.T) {
-	in := inputsFor(model.OutdegreeAware, 6, core.RowNoHelp) // values 1,2,2,1,2,2
+	in := inputsFor(desc(t, model.OutdegreeAware), 6, core.RowNoHelp) // values 1,2,2,1,2,2
 	if got := expected(funcs.Sum(), in); got != 10 {
 		t.Fatalf("expected sum = %v, want 10", got)
 	}
@@ -53,7 +53,7 @@ func TestExpectedMatchesFunction(t *testing.T) {
 }
 
 func TestInputsForBinaryModels(t *testing.T) {
-	in := inputsFor(model.OneBitBroadcast, 6, core.RowNoHelp) // values 1,0,0,1,0,0
+	in := inputsFor(desc(t, model.OneBitBroadcast), 6, core.RowNoHelp) // values 1,0,0,1,0,0
 	for i, input := range in {
 		if input.Value != 0 && input.Value != 1 {
 			t.Fatalf("agent %d got non-binary input %v under onebit", i, input.Value)
@@ -65,13 +65,13 @@ func TestInputsForBinaryModels(t *testing.T) {
 }
 
 func TestStaticNetworkPerKind(t *testing.T) {
-	if g := staticNetwork(model.Symmetric, 6); !g.IsSymmetric() {
+	if g := staticNetwork(desc(t, model.Symmetric), 6); !g.IsSymmetric() {
 		t.Fatal("symmetric kind got an asymmetric network")
 	}
-	if g := staticNetwork(model.OutputPortAware, 6); !g.PortsValid() {
+	if g := staticNetwork(desc(t, model.OutputPortAware), 6); !g.PortsValid() {
 		t.Fatal("port kind got an unlabelled network")
 	}
-	if g := staticNetwork(model.OutdegreeAware, 6); !g.StronglyConnected() {
+	if g := staticNetwork(desc(t, model.OutdegreeAware), 6); !g.StronglyConnected() {
 		t.Fatal("od kind got a disconnected network")
 	}
 }
@@ -81,10 +81,19 @@ func TestVerifySingleCellEndToEnd(t *testing.T) {
 	// plumbing (small budget keeps this fast).
 	r := &runner{n: 4, rounds: 400, seed: 3}
 	cell := core.StaticCell(model.OutdegreeAware, core.RowNoHelp)
-	if !r.verifyPositive(model.OutdegreeAware, core.RowNoHelp, true, cell) {
+	if !r.verifyPositive(desc(t, model.OutdegreeAware), core.RowNoHelp, true, cell) {
 		t.Fatal("positive verification failed")
 	}
-	if !r.verifyNegative(model.OutdegreeAware, core.RowNoHelp, true, cell) {
+	if !r.verifyNegative(desc(t, model.OutdegreeAware), core.RowNoHelp, true, cell) {
 		t.Fatal("negative verification failed")
 	}
+}
+
+func desc(t *testing.T, k model.Kind) *model.Descriptor {
+	t.Helper()
+	d, err := model.Lookup(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }

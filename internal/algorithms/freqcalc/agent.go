@@ -7,26 +7,8 @@ import (
 	"anonnet/internal/funcs"
 	"anonnet/internal/model"
 	"anonnet/internal/multiset"
+	"anonnet/internal/reconstruct"
 )
-
-// Help encodes the centralized-help assumptions of Table 1's rows.
-type Help struct {
-	// BoundN is a known bound N ≥ n, else 0 (Cor. 4.2). A bound does not
-	// enlarge the computable class, but it enables the finite-state
-	// minimum-base variant (§1's preference): agents freeze their
-	// refinement once a stable stretch certifies the base, bounding state
-	// and bandwidth.
-	BoundN int
-	// KnownN is the exact network size if known, else 0 (Cor. 4.3).
-	KnownN int
-	// Leaders is the number of distinguished leaders if known to all
-	// agents, else 0 (Cor. 4.4 / eq. (5)); the leaders themselves are
-	// marked via model.Input.Leader.
-	Leaders int
-}
-
-// None is the no-centralized-help row of Table 1.
-var None = Help{}
 
 // Agent computes a frequency-based (or, with help, multiset-based) function
 // by layering the §4.2 value-recovery on the distributed minimum-base
@@ -34,9 +16,9 @@ var None = Help{}
 // selects by Config.Kind.
 type Agent struct {
 	mb   minbaseAgent
-	kind model.Kind
+	lift model.Lifting
 	f    funcs.Func
-	help Help
+	help model.Help
 	out  model.Value
 }
 
@@ -60,28 +42,31 @@ var (
 // NewFactory returns a factory of agents computing f under the given model
 // and help. Without help, f must be frequency-based (Theorem 4.1: nothing
 // more is computable); with the size known or leaders present, any
-// multiset-based f is accepted (Cor. 4.3, 4.4).
-func NewFactory(kind model.Kind, f funcs.Func, help Help) (model.Factory, error) {
-	if _, err := minbase.NewAgent(kind, model.Input{}); err != nil {
+// multiset-based f is accepted (Cor. 4.3, 4.4). A bound N selects the
+// finite-state minimum-base agent (§1's preference): agents freeze their
+// refinement once a stable stretch certifies the base, bounding state and
+// bandwidth.
+func NewFactory(kind model.Kind, f funcs.Func, help model.Help) (model.Factory, error) {
+	desc, err := model.Lookup(kind)
+	if err != nil {
+		return nil, fmt.Errorf("freqcalc: %w", err)
+	}
+	if err := reconstruct.Check(f, help); err != nil {
+		return nil, fmt.Errorf("freqcalc: %w", err)
+	}
+	var mb model.Factory
+	if help.BoundN > 0 {
+		mb, err = minbase.NewBoundedFactory(kind, help.BoundN)
+	} else {
+		mb, err = minbase.NewFactory(kind)
+	}
+	if err != nil {
 		return nil, err
 	}
-	if help.BoundN < 0 || help.KnownN < 0 || help.Leaders < 0 {
-		return nil, fmt.Errorf("freqcalc: negative help %+v", help)
-	}
-	if help.KnownN == 0 && help.Leaders == 0 && !funcs.FrequencyBased.Contains(f.Class) {
-		return nil, fmt.Errorf("freqcalc: function %q is %v; without size or leaders only frequency-based functions are computable (Theorem 4.1)",
-			f.Name, f.Class)
-	}
 	return func(in model.Input) model.Agent {
-		var mb minbaseAgent
-		if help.BoundN > 0 {
-			mb, _ = minbase.NewBoundedAgent(kind, in, help.BoundN)
-		} else {
-			mb, _ = minbase.NewAgent(kind, in)
-		}
 		return &Agent{
-			mb:   mb,
-			kind: kind,
+			mb:   mb(in).(minbaseAgent),
+			lift: desc.Lifting,
 			f:    f,
 			help: help,
 			out:  f.Eval(multiset.New(in.Value)),
@@ -119,7 +104,7 @@ func (a *Agent) Receive(msgs []model.Message) {
 // immaterial for a frequency-based f), k·z with k = n/Σz when n is known,
 // and k·z with k = ℓ/Σ_{L_B} z_j when ℓ leaders are known (eq. (5)).
 func (a *Agent) reconstruct(base *minbase.Base) (*funcs.Args, error) {
-	z, err := SolveFor(a.kind, base)
+	z, err := SolveFor(a.lift, base)
 	if err != nil {
 		return nil, err
 	}

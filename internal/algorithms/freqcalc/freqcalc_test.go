@@ -165,7 +165,7 @@ func TestTheorem41AverageAllModels(t *testing.T) {
 			if kind == model.Symmetric && !w.sym {
 				continue
 			}
-			factory, err := NewFactory(kind, funcs.Average(), None)
+			factory, err := NewFactory(kind, funcs.Average(), model.Help{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -178,7 +178,7 @@ func TestTheorem41AverageAllModels(t *testing.T) {
 func TestTheorem41FrequencyBasedCatalog(t *testing.T) {
 	w := workload{"alt-ring", graph.Ring(6), testutil.Inputs(1, 2, 1, 2, 2, 1), false}
 	for _, f := range []funcs.Func{funcs.Mode(), funcs.Median(), funcs.FrequencyOf(2), funcs.ThresholdFreq(2, 0.4)} {
-		factory, err := NewFactory(model.OutdegreeAware, f, None)
+		factory, err := NewFactory(model.OutdegreeAware, f, model.Help{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,10 +197,10 @@ func multisetOf(inputs []model.Input) *funcs.Args {
 }
 
 func TestRejectsMultisetBasedWithoutHelp(t *testing.T) {
-	if _, err := NewFactory(model.OutdegreeAware, funcs.Sum(), None); err == nil {
+	if _, err := NewFactory(model.OutdegreeAware, funcs.Sum(), model.Help{}); err == nil {
 		t.Fatal("sum accepted without help — Theorem 4.1 forbids it")
 	}
-	if _, err := NewFactory(model.SimpleBroadcast, funcs.Average(), None); err == nil {
+	if _, err := NewFactory(model.SimpleBroadcast, funcs.Average(), model.Help{}); err == nil {
 		t.Fatal("minbase factory accepted the broadcast model")
 	}
 }
@@ -208,7 +208,7 @@ func TestRejectsMultisetBasedWithoutHelp(t *testing.T) {
 func TestCorollary43SumWithKnownSize(t *testing.T) {
 	for _, w := range workloads() {
 		n := len(w.inputs)
-		factory, err := NewFactory(model.OutdegreeAware, funcs.Sum(), Help{KnownN: n})
+		factory, err := NewFactory(model.OutdegreeAware, funcs.Sum(), model.Help{KnownN: n})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +224,7 @@ func TestCorollary43SumWithKnownSize(t *testing.T) {
 func TestCorollary43CountWithKnownSize(t *testing.T) {
 	w := workloads()[0]
 	n := len(w.inputs)
-	factory, err := NewFactory(model.OutdegreeAware, funcs.Count(), Help{KnownN: n})
+	factory, err := NewFactory(model.OutdegreeAware, funcs.Count(), model.Help{KnownN: n})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestCorollary44LeaderMultiset(t *testing.T) {
 	// One leader on various graphs: sum and count become computable.
 	for _, w := range workloads() {
 		inputs := testutil.WithLeaders(w.inputs, 0)
-		factory, err := NewFactory(model.OutdegreeAware, funcs.Sum(), Help{Leaders: 1})
+		factory, err := NewFactory(model.OutdegreeAware, funcs.Sum(), model.Help{Leaders: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +253,7 @@ func TestMultipleLeaders(t *testing.T) {
 	// ℓ = 2 known leaders (eq. (5)).
 	g := graph.BidirectionalRing(6)
 	inputs := testutil.WithLeaders(testutil.Inputs(1, 2, 1, 2, 1, 2), 0, 3)
-	factory, err := NewFactory(model.OutdegreeAware, funcs.Count(), Help{Leaders: 2})
+	factory, err := NewFactory(model.OutdegreeAware, funcs.Count(), model.Help{Leaders: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestFrequencyInvarianceAcrossScaledNetworks(t *testing.T) {
 	// The same frequency function on R_6 and R_9 (inputs 1,2,2 repeated):
 	// a frequency-based output must be identical — the positive face of
 	// the §4.1 impossibility.
-	factory, err := NewFactory(model.OutdegreeAware, funcs.Average(), None)
+	factory, err := NewFactory(model.OutdegreeAware, funcs.Average(), model.Help{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestFrequencyInvarianceAcrossScaledNetworks(t *testing.T) {
 func TestAsyncStartsEventuallyCorrect(t *testing.T) {
 	g := graph.Ring(6)
 	inputs := testutil.Inputs(1, 2, 1, 2, 1, 2)
-	factory, err := NewFactory(model.OutdegreeAware, funcs.Average(), None)
+	factory, err := NewFactory(model.OutdegreeAware, funcs.Average(), model.Help{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestAsyncStartsEventuallyCorrect(t *testing.T) {
 func TestSelfStabilizationRecovery(t *testing.T) {
 	g := graph.BidirectionalRing(6)
 	inputs := testutil.Inputs(1, 2, 1, 2, 1, 2)
-	factory, err := NewFactory(model.OutdegreeAware, funcs.Average(), None)
+	factory, err := NewFactory(model.OutdegreeAware, funcs.Average(), model.Help{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestCoveredNetworkSameOutput(t *testing.T) {
 	for v, bv := range fibb.VertexMap {
 		totalInputs[v] = baseInputs[bv]
 	}
-	factory, err := NewFactory(model.OutdegreeAware, funcs.Average(), None)
+	factory, err := NewFactory(model.OutdegreeAware, funcs.Average(), model.Help{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +422,7 @@ func TestCorollary42FiniteStateWithBound(t *testing.T) {
 	// stabilization.
 	g := graph.BidirectionalRing(6)
 	inputs := testutil.Inputs(1, 2, 1, 2, 1, 2)
-	factory, err := NewFactory(model.OutdegreeAware, funcs.Average(), Help{BoundN: 8})
+	factory, err := NewFactory(model.OutdegreeAware, funcs.Average(), model.Help{BoundN: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +440,7 @@ func TestCorollary42FiniteStateWithBound(t *testing.T) {
 }
 
 func TestHelpValidation(t *testing.T) {
-	for _, h := range []Help{{BoundN: -1}, {KnownN: -2}, {Leaders: -3}} {
+	for _, h := range []model.Help{{BoundN: -1}, {KnownN: -2}, {Leaders: -3}} {
 		if _, err := NewFactory(model.OutdegreeAware, funcs.Average(), h); err == nil {
 			t.Errorf("negative help %+v accepted", h)
 		}

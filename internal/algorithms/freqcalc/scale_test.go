@@ -25,7 +25,7 @@ func TestScaleRing20(t *testing.T) {
 		want += vals[i]
 	}
 	want /= float64(n)
-	factory, err := NewFactory(model.OutdegreeAware, funcs.Average(), None)
+	factory, err := NewFactory(model.OutdegreeAware, funcs.Average(), model.Help{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestScaleRandom24WithLeader(t *testing.T) {
 		want += inputs[i].Value
 	}
 	inputs[0].Leader = true
-	factory, err := NewFactory(model.OutdegreeAware, funcs.Sum(), Help{Leaders: 1})
+	factory, err := NewFactory(model.OutdegreeAware, funcs.Sum(), model.Help{Leaders: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -153,16 +153,19 @@ func gcd64(a, b int64) int64 {
 
 func lcm64(a, b int64) int64 { return a / gcd64(a, b) * b }
 
-// SolveFor dispatches on the communication model.
-func SolveFor(kind model.Kind, b *minbase.Base) ([]int, error) {
-	switch kind {
-	case model.OutdegreeAware:
+// SolveFor solves the kernel equation of the model's fibration class:
+// the outdegree system for outdegree-preserving fibrations, equal fibres
+// for coverings, detailed balance for symmetric graphs. Models whose
+// executions lift along any fibration cannot recover fibre cardinalities.
+func SolveFor(lift model.Lifting, b *minbase.Base) ([]int, error) {
+	switch lift {
+	case model.LiftOutdegree:
 		return SolveOutdegree(b)
-	case model.OutputPortAware:
+	case model.LiftCovering:
 		return SolvePorts(b)
-	case model.Symmetric:
+	case model.LiftSymmetric:
 		return SolveSymmetric(b)
 	default:
-		return nil, fmt.Errorf("freqcalc: model %v cannot recover fibre cardinalities (Theorem 4.1 needs od, op, or symmetry)", kind)
+		return nil, fmt.Errorf("freqcalc: lifting class %d cannot recover fibre cardinalities (Theorem 4.1 needs od, op, or symmetry)", int(lift))
 	}
 }

@@ -15,34 +15,18 @@ type FreqMsg struct {
 	D int
 }
 
-// FreqMode selects the output reconstruction of a frequency run.
-type FreqMode int
-
-// The reconstruction modes (the symmetric-communications column of Table 2).
-const (
-	// FreqApproximate evaluates f on the normalized estimates; converges
-	// for functions δ-continuous in frequency.
-	FreqApproximate FreqMode = iota + 1
-	// FreqRoundToBound rounds each estimate in ℚ_N with a known bound N,
-	// giving exact frequency-based computation ([11]'s row of Table 2).
-	FreqRoundToBound
-	// FreqExactSize recovers multiplicities with the exact size known,
-	// giving multiset-based computation.
-	FreqExactSize
-)
-
 // FreqAgent runs one average-consensus instance per value present in the
 // network: the estimate vector x_i[ω] starts as the indicator of the own
 // value and converges to the frequency ν(ω), because Metropolis updates are
 // doubly stochastic and a joining agent contributes estimate 0 — the
 // symmetric-communications route to frequency-based functions in dynamic
-// networks (Table 2, after [11, 24]).
+// networks (Table 2, after [11, 24]). The row's help selects the output
+// reconstruction (reconstruct.FromHelp).
 type FreqAgent struct {
 	variant Variant
-	boundN  int
-	mode    FreqMode
+	boundN  int // the MaxDegree weight bound
 	f       funcs.Func
-	knownN  int
+	help    model.Help
 
 	deg int
 	x   map[float64]float64
@@ -59,62 +43,29 @@ var (
 	_ model.VectorAgent     = (*FreqAgent)(nil)
 )
 
-// FreqConfig parameterizes NewFreqFactory.
-type FreqConfig struct {
-	// F is the function computed from the recovered frequencies.
-	F funcs.Func
-	// Variant selects the weight rule; MaxDegree runs under plain
-	// symmetric communications, Standard/Lazy need outdegree awareness.
-	Variant Variant
-	// BoundN is the bound N ≥ n (required by MaxDegree and by
-	// FreqRoundToBound).
-	BoundN int
-	// Mode selects the output reconstruction.
-	Mode FreqMode
-	// KnownN is the exact size (FreqExactSize).
-	KnownN int
-}
-
-// NewFreqFactory validates cfg against Table 2's symmetric column and
-// returns the factory.
-func NewFreqFactory(cfg FreqConfig) (model.Factory, error) {
-	switch cfg.Variant {
-	case Standard, Lazy:
-	case MaxDegree:
-		if cfg.BoundN < 1 {
-			return nil, fmt.Errorf("metropolis: MaxDegree needs a bound N ≥ 1, got %d", cfg.BoundN)
-		}
-	default:
-		return nil, fmt.Errorf("metropolis: invalid variant %d", int(cfg.Variant))
+// NewFreqFactory checks f and the variant against Table 2's symmetric
+// column for the given help and returns the factory. MaxDegree sizes its
+// weights 1/N with the help's bound, or with the size when only the size
+// is known; Standard and Lazy need outdegree awareness instead.
+func NewFreqFactory(f funcs.Func, variant Variant, help model.Help) (model.Factory, error) {
+	boundN := help.BoundN
+	if boundN == 0 {
+		boundN = help.KnownN
 	}
-	switch cfg.Mode {
-	case FreqApproximate:
-		if !funcs.FrequencyBased.Contains(cfg.F.Class) {
-			return nil, fmt.Errorf("metropolis: %q is %v; only frequency-based functions converge without size knowledge", cfg.F.Name, cfg.F.Class)
-		}
-	case FreqRoundToBound:
-		if cfg.BoundN < 1 {
-			return nil, fmt.Errorf("metropolis: FreqRoundToBound needs a bound N ≥ 1, got %d", cfg.BoundN)
-		}
-		if !funcs.FrequencyBased.Contains(cfg.F.Class) {
-			return nil, fmt.Errorf("metropolis: %q is %v; with only a bound, only frequency-based functions are computable", cfg.F.Name, cfg.F.Class)
-		}
-	case FreqExactSize:
-		if cfg.KnownN < 1 {
-			return nil, fmt.Errorf("metropolis: FreqExactSize needs the size n ≥ 1, got %d", cfg.KnownN)
-		}
-	default:
-		return nil, fmt.Errorf("metropolis: invalid frequency mode %d", int(cfg.Mode))
+	if err := checkVariant(variant, boundN); err != nil {
+		return nil, err
+	}
+	if err := reconstruct.Check(f, help); err != nil {
+		return nil, fmt.Errorf("metropolis: %w", err)
 	}
 	return func(in model.Input) model.Agent {
 		return &FreqAgent{
-			variant: cfg.Variant,
-			boundN:  cfg.BoundN,
-			mode:    cfg.Mode,
-			f:       cfg.F,
-			knownN:  cfg.KnownN,
+			variant: variant,
+			boundN:  boundN,
+			f:       f,
+			help:    help,
 			x:       map[float64]float64{in.Value: 1},
-			out:     cfg.F.Eval(multiset.New(in.Value)),
+			out:     f.Eval(multiset.New(in.Value)),
 		}
 	}, nil
 }
@@ -239,18 +190,7 @@ func (a *FreqAgent) Estimates() map[float64]float64 {
 }
 
 func (a *FreqAgent) refreshOutput() {
-	var (
-		ms *reconstruct.Args
-		ok bool
-	)
-	switch a.mode {
-	case FreqApproximate:
-		ms, ok = reconstruct.Approximate(a.x, 360360)
-	case FreqRoundToBound:
-		ms, ok = reconstruct.Rounded(a.x, a.boundN)
-	case FreqExactSize:
-		ms, ok = reconstruct.Counts(a.x, float64(a.knownN))
-	}
+	ms, ok := reconstruct.FromHelp(a.x, a.help)
 	if !ok {
 		return
 	}

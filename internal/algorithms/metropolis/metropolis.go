@@ -59,18 +59,23 @@ var (
 // NewFactory returns a Metropolis agent factory. boundN is required (≥ 1)
 // for the MaxDegree variant and ignored otherwise.
 func NewFactory(variant Variant, boundN int) (model.Factory, error) {
-	switch variant {
-	case Standard, Lazy:
-	case MaxDegree:
-		if boundN < 1 {
-			return nil, fmt.Errorf("metropolis: MaxDegree needs a bound N ≥ 1, got %d", boundN)
-		}
-	default:
-		return nil, fmt.Errorf("metropolis: invalid variant %d", int(variant))
+	if err := checkVariant(variant, boundN); err != nil {
+		return nil, err
 	}
 	return func(in model.Input) model.Agent {
 		return &Agent{variant: variant, boundN: boundN, x: in.Value}
 	}, nil
+}
+
+// checkVariant rejects unknown variants and MaxDegree without a bound.
+func checkVariant(variant Variant, boundN int) error {
+	switch {
+	case variant < Standard || variant > MaxDegree:
+		return fmt.Errorf("metropolis: invalid variant %d", int(variant))
+	case variant == MaxDegree && boundN < 1:
+		return fmt.Errorf("metropolis: MaxDegree needs a bound N ≥ 1, got %d", boundN)
+	}
+	return nil
 }
 
 // SendOutdegree records the degree and broadcasts (x, d); the Standard and

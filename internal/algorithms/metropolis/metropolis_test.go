@@ -132,9 +132,7 @@ func TestFreqAgentRoundedExact(t *testing.T) {
 	// frequency-based computation via per-value Metropolis + ℚ_N rounding.
 	vals := []float64{1, 1, 1, 2, 2, 7}
 	want := funcs.Average().FromVector(vals)
-	factory, err := NewFreqFactory(FreqConfig{
-		F: funcs.Average(), Variant: MaxDegree, BoundN: 9, Mode: FreqRoundToBound,
-	})
+	factory, err := NewFreqFactory(funcs.Average(), MaxDegree, model.Help{BoundN: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,9 +144,7 @@ func TestFreqAgentRoundedExact(t *testing.T) {
 
 func TestFreqAgentExactSizeMultiset(t *testing.T) {
 	vals := []float64{1, 1, 1, 2, 2, 7}
-	factory, err := NewFreqFactory(FreqConfig{
-		F: funcs.Sum(), Variant: MaxDegree, BoundN: 6, Mode: FreqExactSize, KnownN: 6,
-	})
+	factory, err := NewFreqFactory(funcs.Sum(), MaxDegree, model.Help{KnownN: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,9 +155,7 @@ func TestFreqAgentExactSizeMultiset(t *testing.T) {
 
 func TestFreqAgentDegreeAwareVariant(t *testing.T) {
 	vals := []float64{4, 4, 2}
-	factory, err := NewFreqFactory(FreqConfig{
-		F: funcs.Average(), Variant: Standard, Mode: FreqApproximate,
-	})
+	factory, err := NewFreqFactory(funcs.Average(), Standard, model.Help{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,14 +165,17 @@ func TestFreqAgentDegreeAwareVariant(t *testing.T) {
 }
 
 func TestFreqFactoryValidation(t *testing.T) {
-	if _, err := NewFreqFactory(FreqConfig{F: funcs.Sum(), Variant: MaxDegree, BoundN: 5, Mode: FreqApproximate}); err == nil {
-		t.Fatal("sum accepted in approximate mode")
+	if _, err := NewFreqFactory(funcs.Sum(), MaxDegree, model.Help{BoundN: 5}); err == nil {
+		t.Fatal("sum accepted with only a bound")
 	}
-	if _, err := NewFreqFactory(FreqConfig{F: funcs.Average(), Variant: MaxDegree, BoundN: 5, Mode: FreqExactSize}); err == nil {
-		t.Fatal("FreqExactSize accepted without n")
+	if _, err := NewFreqFactory(funcs.Average(), MaxDegree, model.Help{BoundN: 5, KnownN: -1}); err == nil {
+		t.Fatal("negative size accepted")
 	}
-	if _, err := NewFreqFactory(FreqConfig{F: funcs.Average(), Variant: MaxDegree, Mode: FreqApproximate}); err == nil {
+	if _, err := NewFreqFactory(funcs.Average(), MaxDegree, model.Help{}); err == nil {
 		t.Fatal("MaxDegree accepted without bound")
+	}
+	if _, err := NewFreqFactory(funcs.Average(), 0, model.Help{BoundN: 5}); err == nil {
+		t.Fatal("invalid variant accepted")
 	}
 }
 
@@ -186,9 +183,7 @@ func TestFreqEstimatesSumToOne(t *testing.T) {
 	// Per-value estimates are conserved and total mass is n, so the
 	// per-agent estimates sum to 1 once all instances are known.
 	vals := []float64{1, 2, 3, 4}
-	factory, err := NewFreqFactory(FreqConfig{
-		F: funcs.Average(), Variant: MaxDegree, BoundN: 6, Mode: FreqApproximate,
-	})
+	factory, err := NewFreqFactory(funcs.Average(), MaxDegree, model.Help{BoundN: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ const auditPeriod = 8
 // history is long enough, extends its own history by one level. Candidates
 // are extracted on demand by CandidateBase.
 type Agent struct {
-	kind       model.Kind
+	lift       model.Lifting
 	valLabel   string
 	outdeg     int // -1 until learned
 	degChanged bool
@@ -51,28 +51,30 @@ var (
 )
 
 // NewAgent returns the automaton for one agent with the given private
-// input, for the given communication model (one of OutdegreeAware,
-// OutputPortAware, Symmetric).
+// input (see NewFactory).
 func NewAgent(kind model.Kind, in model.Input) (*Agent, error) {
-	switch kind {
-	case model.OutdegreeAware, model.OutputPortAware, model.Symmetric:
-	default:
-		return nil, fmt.Errorf("minbase: model %v cannot compute the minimum base (needs outdegree, port, or symmetry knowledge)", kind)
-	}
-	a := &Agent{kind: kind, valLabel: EncodeInput(in), outdeg: -1}
-	a.reset(0)
-	return a, nil
-}
-
-// NewFactory adapts NewAgent to a model.Factory; the kind must be valid for
-// minbase (see NewAgent).
-func NewFactory(kind model.Kind) (model.Factory, error) {
-	// Probe the kind once so the factory itself cannot fail.
-	if _, err := NewAgent(kind, model.Input{}); err != nil {
+	f, err := NewFactory(kind)
+	if err != nil {
 		return nil, err
 	}
+	return f(in).(*Agent), nil
+}
+
+// NewFactory returns a factory of minimum-base automata for a
+// communication model whose senders know enough about their audience: any
+// model whose executions do not lift along every fibration (outdegree
+// awareness, output ports, symmetric communications).
+func NewFactory(kind model.Kind) (model.Factory, error) {
+	desc, err := model.Lookup(kind)
+	if err != nil {
+		return nil, fmt.Errorf("minbase: %w", err)
+	}
+	if desc.Lifting == model.LiftAny {
+		return nil, fmt.Errorf("minbase: model %v cannot compute the minimum base (needs outdegree, port, or symmetry knowledge)", kind)
+	}
 	return func(in model.Input) model.Agent {
-		a, _ := NewAgent(kind, in)
+		a := &Agent{lift: desc.Lifting, valLabel: EncodeInput(in), outdeg: -1}
+		a.reset(0)
 		return a
 	}, nil
 }
@@ -153,7 +155,7 @@ func (a *Agent) buildMsg(port int) *Msg {
 // refinement step.
 func (a *Agent) Receive(msgs []model.Message) {
 	a.round++
-	if a.kind == model.Symmetric {
+	if a.lift == model.LiftSymmetric {
 		// Static symmetric network: outdegree = indegree, learned at the
 		// end of the first receive phase (§2.2).
 		a.observeOutdegree(len(msgs))

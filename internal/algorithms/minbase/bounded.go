@@ -32,27 +32,18 @@ var (
 	_ model.Corruptible     = (*BoundedAgent)(nil)
 )
 
-// NewBoundedAgent returns a finite-state minimum-base automaton for a
-// network of at most boundN agents.
-func NewBoundedAgent(kind model.Kind, in model.Input, boundN int) (*BoundedAgent, error) {
+// NewBoundedFactory returns a factory of finite-state minimum-base
+// automata for networks of at most boundN agents.
+func NewBoundedFactory(kind model.Kind, boundN int) (model.Factory, error) {
 	if boundN < 1 {
 		return nil, fmt.Errorf("minbase: bound %d, want ≥ 1", boundN)
 	}
-	a, err := NewAgent(kind, in)
+	f, err := NewFactory(kind)
 	if err != nil {
 		return nil, err
 	}
-	return &BoundedAgent{Agent: a, boundN: boundN}, nil
-}
-
-// NewBoundedFactory adapts NewBoundedAgent to a model.Factory.
-func NewBoundedFactory(kind model.Kind, boundN int) (model.Factory, error) {
-	if _, err := NewBoundedAgent(kind, model.Input{}, boundN); err != nil {
-		return nil, err
-	}
 	return func(in model.Input) model.Agent {
-		a, _ := NewBoundedAgent(kind, in, boundN)
-		return a
+		return &BoundedAgent{Agent: f(in).(*Agent), boundN: boundN}
 	}, nil
 }
 

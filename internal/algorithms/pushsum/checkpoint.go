@@ -67,7 +67,7 @@ func (a *Frequency) MarshalState() ([]byte, error) {
 }
 
 // UnmarshalState restores the per-value mass arrays and the output. The
-// configuration (mode, function, bounds), the private input, and the
+// configuration (function, help), the private input, and the
 // engine-provided universe are the fresh instance's own.
 func (a *Frequency) UnmarshalState(data []byte) error {
 	var st frequencyState

@@ -18,28 +18,6 @@ type FreqMsg struct {
 	D    int
 }
 
-// Mode selects how a Frequency agent turns its running frequency estimates
-// into the output value.
-type Mode int
-
-// Output modes, one per §5.4/§5.5 result.
-const (
-	// Approximate outputs f evaluated on the normalized frequencies x̂
-	// (§5.4's no-bound case): convergence holds for every function that is
-	// δ-continuous in frequency (Cor. 5.5).
-	Approximate Mode = iota + 1
-	// RoundToBound rounds each frequency to the nearest rational of ℚ_N
-	// for a known bound N ≥ n, giving exact computation in finite time of
-	// any frequency-based function (Cor. 5.3).
-	RoundToBound
-	// ExactSize recovers multiplicities from frequencies with the exact
-	// size n known, computing any multiset-based function (Cor. 5.4).
-	ExactSize
-	// LeaderCount recovers multiplicities as ℓ·x[ω] with ℓ known leaders
-	// (§5.5), computing any multiset-based function.
-	LeaderCount
-)
-
 // Frequency runs one Push-Sum instance per value present in the network
 // (Algorithm 1) under outdegree awareness.
 //
@@ -53,15 +31,15 @@ const (
 // instance ω, and an agent incorporates its retained unit mass exactly once
 // — at the round it first processes ω. Total z-mass is then exactly n once
 // every agent has joined, and x[ω] → multiplicity(ω)/n.
+//
+// The help selects the output reconstruction (reconstruct.FromHelp). With
+// ℓ known leaders only leaders start with z-mass, so x[ω] converges to
+// multiplicity(ω)/ℓ (§5.5).
 type Frequency struct {
-	mode    Mode
-	f       funcs.Func
-	boundN  int // RoundToBound
-	knownN  int // ExactSize
-	leaders int // LeaderCount
-	leader  bool
+	f      funcs.Func
+	help   model.Help
+	leader bool
 
-	own    float64
 	outdeg int
 	y, z   map[float64]float64
 	out    model.Value
@@ -76,68 +54,28 @@ var (
 	_ model.VectorAgent     = (*Frequency)(nil)
 )
 
-// FrequencyConfig parameterizes NewFrequencyFactory.
-type FrequencyConfig struct {
-	// F is the function computed from the recovered frequencies or
-	// multiplicities.
-	F funcs.Func
-	// Mode selects the §5.4/§5.5 variant.
-	Mode Mode
-	// BoundN is the known bound N ≥ n (RoundToBound).
-	BoundN int
-	// KnownN is the known exact size (ExactSize).
-	KnownN int
-	// Leaders is the known number of leaders (LeaderCount).
-	Leaders int
-}
-
-// NewFrequencyFactory validates the configuration against the paper's
-// characterization and returns the agent factory.
-func NewFrequencyFactory(cfg FrequencyConfig) (model.Factory, error) {
-	switch cfg.Mode {
-	case Approximate:
-		if !funcs.FrequencyBased.Contains(cfg.F.Class) {
-			return nil, fmt.Errorf("pushsum: %q is %v; without a bound only (continuous) frequency-based functions converge (Cor. 5.5)", cfg.F.Name, cfg.F.Class)
-		}
-	case RoundToBound:
-		if cfg.BoundN < 1 {
-			return nil, fmt.Errorf("pushsum: RoundToBound needs a bound N ≥ 1, got %d", cfg.BoundN)
-		}
-		if !funcs.FrequencyBased.Contains(cfg.F.Class) {
-			return nil, fmt.Errorf("pushsum: %q is %v; with only a bound, only frequency-based functions are computable (Cor. 5.3)", cfg.F.Name, cfg.F.Class)
-		}
-	case ExactSize:
-		if cfg.KnownN < 1 {
-			return nil, fmt.Errorf("pushsum: ExactSize needs the size n ≥ 1, got %d", cfg.KnownN)
-		}
-	case LeaderCount:
-		if cfg.Leaders < 1 {
-			return nil, fmt.Errorf("pushsum: LeaderCount needs ℓ ≥ 1 known leaders, got %d", cfg.Leaders)
-		}
-	default:
-		return nil, fmt.Errorf("pushsum: invalid mode %d", int(cfg.Mode))
+// NewFrequencyFactory checks f against the paper's characterization for
+// the given help and returns the agent factory.
+func NewFrequencyFactory(f funcs.Func, help model.Help) (model.Factory, error) {
+	if err := reconstruct.Check(f, help); err != nil {
+		return nil, fmt.Errorf("pushsum: %w", err)
 	}
 	return func(in model.Input) model.Agent {
-		a := &Frequency{
-			mode:    cfg.Mode,
-			f:       cfg.F,
-			boundN:  cfg.BoundN,
-			knownN:  cfg.KnownN,
-			leaders: cfg.Leaders,
-			leader:  in.Leader,
-			own:     in.Value,
-			y:       map[float64]float64{in.Value: 1},
-			z:       map[float64]float64{in.Value: initialMass(cfg.Mode, in.Leader)},
-			out:     cfg.F.Eval(multiset.New(in.Value)),
+		return &Frequency{
+			f:      f,
+			help:   help,
+			leader: in.Leader,
+			y:      map[float64]float64{in.Value: 1},
+			z:      map[float64]float64{in.Value: initialMass(help, in.Leader)},
+			out:    f.Eval(multiset.New(in.Value)),
 		}
-		return a
 	}, nil
 }
 
 // initialMass is the z initialization: 1 in the standard algorithm; in the
 // leader variant 1 for leaders and 0 otherwise (§5.5).
-func initialMass(mode Mode, leader bool) float64 {
-	if mode == LeaderCount && !leader {
+func initialMass(help model.Help, leader bool) float64 {
+	if help.Leaders > 0 && !leader {
 		return 0
 	}
 	return 1
@@ -192,7 +130,7 @@ func (a *Frequency) Receive(msgs []model.Message) {
 			// First time processing instance ω: incorporate the retained
 			// initial mass exactly once (the virtual self-loop of the
 			// asynchronous-start reduction).
-			zSum += initialMass(a.mode, a.leader)
+			zSum += initialMass(a.help, a.leader)
 		}
 		newY[w] = ySum
 		newZ[w] = zSum
@@ -246,7 +184,7 @@ func (a *Frequency) ReceiveVector(sum []float64, count int) {
 		}
 		ySum, zSum := sum[3*k], sum[3*k+1]
 		if !joined {
-			zSum += initialMass(a.mode, a.leader)
+			zSum += initialMass(a.help, a.leader)
 		}
 		newY[w] = ySum
 		newZ[w] = zSum
@@ -256,7 +194,7 @@ func (a *Frequency) ReceiveVector(sum []float64, count int) {
 }
 
 // Quotients returns the raw per-value quotients x[ω] = y[ω]/z[ω] (which
-// converge to ν(ω) in the standard modes and to multiplicity(ω)/ℓ in the
+// converge to ν(ω) without leaders and to multiplicity(ω)/ℓ in the
 // leader variant). Values with z[ω] = 0 map to +Inf, as §5.5 notes can
 // transiently happen.
 func (a *Frequency) Quotients() map[float64]float64 {
@@ -285,29 +223,11 @@ func (a *Frequency) Mass() (y, z float64) {
 }
 
 func (a *Frequency) refreshOutput() {
-	ms, ok := a.reconstruct()
+	ms, ok := reconstruct.FromHelp(a.Quotients(), a.help)
 	if !ok {
 		return
 	}
 	a.out = a.f.Eval(ms)
-}
-
-// reconstruct builds the value multiset the function is applied to, per
-// mode.
-func (a *Frequency) reconstruct() (*funcs.Args, bool) {
-	x := a.Quotients()
-	switch a.mode {
-	case Approximate:
-		return reconstruct.Approximate(x, 360360) // highly divisible denominator
-	case RoundToBound:
-		return reconstruct.Rounded(x, a.boundN)
-	case ExactSize:
-		return reconstruct.Counts(x, float64(a.knownN))
-	case LeaderCount:
-		return reconstruct.Counts(x, float64(a.leaders))
-	default:
-		return nil, false
-	}
 }
 
 // Output returns the current output value.

@@ -125,7 +125,7 @@ func TestTheorem52ConvergenceRateShape(t *testing.T) {
 func TestFrequencyQuotientsConverge(t *testing.T) {
 	// ν = {1: 1/2, 2: 1/3, 7: 1/6} on n = 6.
 	vals := []float64{1, 1, 1, 2, 2, 7}
-	factory, err := NewFrequencyFactory(FrequencyConfig{F: funcs.Average(), Mode: Approximate})
+	factory, err := NewFrequencyFactory(funcs.Average(), model.Help{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestFrequencyMassExactlyN(t *testing.T) {
 	// joined every instance — the conservation law whose violation by the
 	// transcribed Algorithm 1 is recorded in DESIGN.md §6.
 	vals := []float64{1, 2, 2}
-	factory, err := NewFrequencyFactory(FrequencyConfig{F: funcs.Average(), Mode: Approximate})
+	factory, err := NewFrequencyFactory(funcs.Average(), model.Help{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestCorollary53ExactWithBound(t *testing.T) {
 	vals := []float64{1, 1, 1, 2, 2, 7}
 	want := funcs.Average().FromVector(vals)
 	for _, bound := range []int{6, 10, 17} {
-		factory, err := NewFrequencyFactory(FrequencyConfig{F: funcs.Average(), Mode: RoundToBound, BoundN: bound})
+		factory, err := NewFrequencyFactory(funcs.Average(), model.Help{BoundN: bound})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func TestCorollary53ExactWithBound(t *testing.T) {
 
 func TestCorollary54MultisetWithKnownSize(t *testing.T) {
 	vals := []float64{1, 1, 1, 2, 2, 7}
-	factory, err := NewFrequencyFactory(FrequencyConfig{F: funcs.Sum(), Mode: ExactSize, KnownN: 6})
+	factory, err := NewFrequencyFactory(funcs.Sum(), model.Help{KnownN: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestLeaderVariantComputesMultiplicities(t *testing.T) {
 	vals := []float64{1, 1, 1, 2, 2, 7}
 	inputs := testutil.WithLeaders(testutil.Inputs(vals...), 2)
 	for _, f := range []funcs.Func{funcs.Sum(), funcs.Count()} {
-		factory, err := NewFrequencyFactory(FrequencyConfig{F: f, Mode: LeaderCount, Leaders: 1})
+		factory, err := NewFrequencyFactory(f, model.Help{Leaders: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +215,7 @@ func TestLeaderVariantComputesMultiplicities(t *testing.T) {
 func TestTwoLeaders(t *testing.T) {
 	vals := []float64{5, 5, 3, 3, 3, 3}
 	inputs := testutil.WithLeaders(testutil.Inputs(vals...), 0, 5)
-	factory, err := NewFrequencyFactory(FrequencyConfig{F: funcs.Count(), Mode: LeaderCount, Leaders: 2})
+	factory, err := NewFrequencyFactory(funcs.Count(), model.Help{Leaders: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,29 +225,22 @@ func TestTwoLeaders(t *testing.T) {
 }
 
 func TestContinuityRequirementEnforced(t *testing.T) {
-	if _, err := NewFrequencyFactory(FrequencyConfig{F: funcs.Sum(), Mode: Approximate}); err == nil {
+	if _, err := NewFrequencyFactory(funcs.Sum(), model.Help{}); err == nil {
 		t.Fatal("sum accepted without size knowledge")
 	}
-	if _, err := NewFrequencyFactory(FrequencyConfig{F: funcs.Sum(), Mode: RoundToBound, BoundN: 8}); err == nil {
+	if _, err := NewFrequencyFactory(funcs.Sum(), model.Help{BoundN: 8}); err == nil {
 		t.Fatal("sum accepted with only a bound")
 	}
-	if _, err := NewFrequencyFactory(FrequencyConfig{F: funcs.Average(), Mode: RoundToBound}); err == nil {
-		t.Fatal("RoundToBound accepted without a bound")
-	}
-	if _, err := NewFrequencyFactory(FrequencyConfig{F: funcs.Average(), Mode: ExactSize}); err == nil {
-		t.Fatal("ExactSize accepted without n")
-	}
-	if _, err := NewFrequencyFactory(FrequencyConfig{F: funcs.Average(), Mode: LeaderCount}); err == nil {
-		t.Fatal("LeaderCount accepted without ℓ")
-	}
-	if _, err := NewFrequencyFactory(FrequencyConfig{F: funcs.Average(), Mode: 0}); err == nil {
-		t.Fatal("invalid mode accepted")
+	for _, h := range []model.Help{{BoundN: -1}, {KnownN: -2}, {Leaders: -3}} {
+		if _, err := NewFrequencyFactory(funcs.Average(), h); err == nil {
+			t.Fatalf("negative help %+v accepted", h)
+		}
 	}
 }
 
 func TestFrequencyAsyncStarts(t *testing.T) {
 	vals := []float64{1, 1, 2, 2, 2, 4}
-	factory, err := NewFrequencyFactory(FrequencyConfig{F: funcs.Average(), Mode: RoundToBound, BoundN: 8})
+	factory, err := NewFrequencyFactory(funcs.Average(), model.Help{BoundN: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +268,7 @@ func TestThresholdPredicateIrrational(t *testing.T) {
 	// mode converges to it even without a bound (Cor. 5.5).
 	vals := []float64{1, 1, 2}
 	f := funcs.ThresholdFreq(1, math.Sqrt2/2) // ν(1) = 2/3 ≈ 0.667 ≥ 0.707? no → 0
-	factory, err := NewFrequencyFactory(FrequencyConfig{F: f, Mode: Approximate})
+	factory, err := NewFrequencyFactory(f, model.Help{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -121,16 +122,52 @@ func TestDispatchMatrix(t *testing.T) {
 					_, err := NewFactory(f, s)
 					admissible := s.Cell().Class.Contains(f.Class)
 					// The two dynamic-symmetric cells realized by Di Luna &
-					// Viglietta's algorithm have no runnable factory here.
-					dlv := !static && kind == model.Symmetric && (row == RowNoHelp || row == RowLeader)
+					// Viglietta's algorithm have no runnable factory here
+					// (TestDelegatedCells).
 					switch {
 					case err == nil && !admissible:
 						t.Errorf("NewFactory(%s, %v/%v/static=%t) accepted an inadmissible function", f.Name, kind, row, static)
-					case err != nil && admissible && !dlv:
+					case err != nil && admissible && !errors.Is(err, ErrNotReimplemented):
 						t.Errorf("NewFactory(%s, %v/%v/static=%t) rejected an admissible function: %v", f.Name, kind, row, static, err)
 					}
 				}
 			}
+		}
+	}
+}
+
+func TestDelegatedCells(t *testing.T) {
+	// Exactly Table 2's no-help and leader symmetric cells are delegated
+	// to Di Luna & Viglietta's algorithm, with a typed error.
+	for _, d := range model.Descriptors() {
+		for _, static := range []bool{true, false} {
+			for _, row := range Rows() {
+				s := Setting{Kind: d.Kind, Static: static, Row: row, BoundN: 8, KnownN: 6, Leaders: 1}
+				if s.validate() != nil {
+					continue
+				}
+				_, err := NewFactory(funcs.Average(), s)
+				want := !static && d.Kind == model.Symmetric && (row == RowNoHelp || row == RowLeader)
+				if got := errors.Is(err, ErrNotReimplemented); got != want {
+					t.Errorf("%s/%v/static=%t: errors.Is(%v, ErrNotReimplemented) = %t, want %t", d.Canon, row, static, err, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestSettingHelpCarriesOnlyTheRow(t *testing.T) {
+	s := Setting{BoundN: 8, KnownN: 6, Leaders: 2}
+	want := map[Row]model.Help{
+		RowNoHelp: {},
+		RowBound:  {BoundN: 8},
+		RowSize:   {KnownN: 6},
+		RowLeader: {Leaders: 2},
+	}
+	for row, h := range want {
+		s.Row = row
+		if got := s.Help(); got != h {
+			t.Errorf("%v: Help() = %+v, want %+v", row, got, h)
 		}
 	}
 }
@@ -252,9 +289,31 @@ func TestCheckLiftingFreqcalc(t *testing.T) {
 	}
 }
 
-func TestCheckLiftingRejectsBadSideConditions(t *testing.T) {
-	// A fibration that does not preserve outdegrees must be rejected for
-	// the od model.
+func TestCheckLiftingOneBit(t *testing.T) {
+	// One bit per round is a blind cast: its executions lift along any
+	// fibration, even one that does not preserve outdegrees (which the od
+	// model rejects, see below). Binary inputs, as the one-bit algorithm
+	// requires.
+	factory, err := NewFactory(funcs.Max(), Setting{Kind: model.OneBitBroadcast, Static: true, Row: RowNoHelp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckLifting(nonOutdegreeFibration(t), model.OneBitBroadcast, factory, testutil.Inputs(1, 0), 20, 10); err != nil {
+		t.Error(err)
+	}
+	ring, err := fibration.RingFibration(8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckLifting(ring, model.OneBitBroadcast, factory, testutil.Inputs(0, 1, 0, 0), 20, 11); err != nil {
+		t.Error(err)
+	}
+}
+
+// nonOutdegreeFibration lifts a two-vertex base with fibres of
+// cardinalities 1 and 3 so that outdegrees are not preserved.
+func nonOutdegreeFibration(t *testing.T) *fibration.Fibration {
+	t.Helper()
 	rng := rand.New(rand.NewSource(5))
 	base := graph.New(2)
 	base.AddEdge(0, 0)
@@ -267,7 +326,13 @@ func TestCheckLiftingRejectsBadSideConditions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = CheckLifting(fib, model.OutdegreeAware, gossipMax(t), testutil.Inputs(1, 2), 5, 10)
+	return fib
+}
+
+func TestCheckLiftingRejectsBadSideConditions(t *testing.T) {
+	// A fibration that does not preserve outdegrees must be rejected for
+	// the od model.
+	err := CheckLifting(nonOutdegreeFibration(t), model.OutdegreeAware, gossipMax(t), testutil.Inputs(1, 2), 5, 10)
 	if err == nil {
 		t.Fatal("outdegree-violating fibration accepted for the od model")
 	}

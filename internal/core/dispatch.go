@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"anonnet/internal/algorithms/freqcalc"
@@ -11,6 +12,10 @@ import (
 	"anonnet/internal/funcs"
 	"anonnet/internal/model"
 )
+
+// ErrNotReimplemented marks Table 2's no-help and leader symmetric cells,
+// realized by Di Luna & Viglietta's algorithm (DESIGN.md §6).
+var ErrNotReimplemented = errors.New("realized by Di Luna & Viglietta's algorithm, not reimplemented (DESIGN.md §6)")
 
 // Setting is one cell of the computability tables, instantiated with
 // concrete parameters.
@@ -36,27 +41,32 @@ func (s Setting) validate() error {
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	switch s.Row {
-	case RowNoHelp:
-	case RowBound:
-		if s.BoundN < 1 {
-			return fmt.Errorf("core: row %v needs BoundN ≥ 1", s.Row)
-		}
-	case RowSize:
-		if s.KnownN < 1 {
-			return fmt.Errorf("core: row %v needs KnownN ≥ 1", s.Row)
-		}
-	case RowLeader:
-		if s.Leaders < 1 {
-			return fmt.Errorf("core: row %v needs Leaders ≥ 1", s.Row)
-		}
-	default:
+	if s.Row < RowNoHelp || s.Row > RowLeader {
 		return fmt.Errorf("core: invalid row %d", int(s.Row))
 	}
-	if !s.Static && desc.StaticOnly {
+	if h := s.Help(); s.Row != RowNoHelp && h.BoundN < 1 && h.KnownN < 1 && h.Leaders < 1 {
+		return fmt.Errorf("core: row %v needs its parameter ≥ 1, got %+v", s.Row, h)
+	}
+	if !s.Static && desc.Lifting == model.LiftCovering {
 		return fmt.Errorf("core: %s is only meaningful for static networks (§2.2)", desc.Name)
 	}
 	return nil
+}
+
+// Help returns the help of the setting's row alone: a Setting built
+// generically may fill several fields, and an algorithm waiting for
+// leaders the inputs do not mark would never produce a valid candidate.
+func (s Setting) Help() model.Help {
+	switch s.Row {
+	case RowBound:
+		return model.Help{BoundN: s.BoundN}
+	case RowSize:
+		return model.Help{KnownN: s.KnownN}
+	case RowLeader:
+		return model.Help{Leaders: s.Leaders}
+	default:
+		return model.Help{}
+	}
 }
 
 // Cell returns the table cell this setting instantiates.
@@ -92,63 +102,26 @@ func NewFactory(f funcs.Func, s Setting) (model.Factory, error) {
 		return nil, fmt.Errorf("core: %q is %v but the cell (%v, %v, static=%t) computes only %v functions (%s)",
 			f.Name, f.Class, s.Kind, s.Row, s.Static, cell.Class, cell.Source)
 	}
-	// Only the selected row's help parameter reaches the algorithm: a
-	// Setting may carry several filled-in fields (e.g. built generically),
-	// and an algorithm waiting for leaders that the inputs don't mark
-	// would never produce a valid candidate.
-	boundN, knownN, leaders := 0, 0, 0
-	switch s.Row {
-	case RowBound:
-		// A bound does not enlarge the class, but it enables the
-		// finite-state minimum-base variant (§1, Cor. 4.2).
-		boundN = s.BoundN
-	case RowSize:
-		knownN = s.KnownN
-	case RowLeader:
-		leaders = s.Leaders
-	}
+	help := s.Help()
 	switch {
 	case s.Kind == model.SimpleBroadcast:
 		return gossip.NewFactory(f)
 	case s.Kind == model.OneBitBroadcast:
 		return onebit.NewFactory(f)
 	case s.Static:
-		return freqcalc.NewFactory(s.Kind, f, freqcalc.Help{BoundN: boundN, KnownN: knownN, Leaders: leaders})
+		return freqcalc.NewFactory(s.Kind, f, help)
 	case s.Kind == model.OutdegreeAware:
-		cfg := pushsum.FrequencyConfig{F: f}
-		switch s.Row {
-		case RowNoHelp:
-			cfg.Mode = pushsum.Approximate
-		case RowBound:
-			cfg.Mode = pushsum.RoundToBound
-			cfg.BoundN = s.BoundN
-		case RowSize:
-			cfg.Mode = pushsum.ExactSize
-			cfg.KnownN = s.KnownN
-		case RowLeader:
-			cfg.Mode = pushsum.LeaderCount
-			cfg.Leaders = s.Leaders
-		}
-		return pushsum.NewFrequencyFactory(cfg)
+		return pushsum.NewFrequencyFactory(f, help)
 	case s.Kind == model.Symmetric:
-		cfg := metropolis.FreqConfig{F: f, Variant: metropolis.MaxDegree}
-		switch s.Row {
-		case RowBound:
-			cfg.Mode = metropolis.FreqRoundToBound
-			cfg.BoundN = s.BoundN
-		case RowSize:
-			cfg.Mode = metropolis.FreqExactSize
-			cfg.KnownN = s.KnownN
-			cfg.BoundN = s.KnownN
-		default:
+		if help.BoundN == 0 && help.KnownN == 0 {
 			// Table 2's no-help and leader symmetric cells are realized in
 			// the paper by Di Luna & Viglietta's history-tree algorithm,
 			// which needs unbounded bandwidth and is not reimplemented
 			// (DESIGN.md §6). There is no bound to size the Metropolis
 			// weights with, so these cells have no runnable factory here.
-			return nil, fmt.Errorf("core: dynamic symmetric row %v is realized by Di Luna & Viglietta's algorithm, not reimplemented (DESIGN.md §6); use RowBound or RowSize", s.Row)
+			return nil, fmt.Errorf("core: dynamic symmetric row %v: %w; use RowBound or RowSize", s.Row, ErrNotReimplemented)
 		}
-		return metropolis.NewFreqFactory(cfg)
+		return metropolis.NewFreqFactory(f, metropolis.MaxDegree, help)
 	default:
 		return nil, fmt.Errorf("core: no algorithm for setting %+v", s)
 	}

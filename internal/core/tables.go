@@ -121,10 +121,10 @@ func StaticCell(kind model.Kind, row Row) Cell {
 
 // DynamicCell returns Table 2's entry for the given model and help row:
 // computable functions in dynamic anonymous networks of finite dynamic
-// diameter. The output-port model is omitted by the paper for dynamic
-// networks (port labellings are only meaningful on static graphs, §2.2);
-// DynamicCell reports its cell as the symmetric one would not apply and
-// falls back to outdegree awareness semantics for queries.
+// diameter. The paper's Table 2 has no output-port column, since port
+// labellings are only meaningful on static graphs (§2.2), and NewFactory
+// rejects dynamic output-port settings; for queries, DynamicCell answers
+// with the outdegree-awareness cell.
 func DynamicCell(kind model.Kind, row Row) Cell {
 	switch kind {
 	case model.SimpleBroadcast:
@@ -163,11 +163,5 @@ func DynamicCell(kind model.Kind, row Row) Cell {
 // Computable reports whether a function of class c is computable in the
 // given setting, per the tables.
 func Computable(c funcs.Class, kind model.Kind, row Row, static bool) bool {
-	var cell Cell
-	if static {
-		cell = StaticCell(kind, row)
-	} else {
-		cell = DynamicCell(kind, row)
-	}
-	return cell.Class.Contains(c)
+	return Setting{Kind: kind, Static: static, Row: row}.Cell().Class.Contains(c)
 }

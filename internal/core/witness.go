@@ -24,31 +24,40 @@ import (
 // fibrewise-lifted inputs, must produce identical outputs fibrewise in
 // every round. A nil error means the executions matched for the whole run.
 //
-// The lemma applies to fibrations of the *valued* graph appropriate to the
-// model: for outdegree awareness the fibration must preserve outdegrees
-// (G_od → B_od), for output port awareness it must be a covering with ports
-// preserved — CheckLifting verifies these side conditions first.
+// The lemma applies to the fibrations of the model's class (its
+// Descriptor's Lifting): any fibration for a blind cast, outdegree-
+// preserving ones (G_od → B_od) under outdegree awareness, coverings with
+// ports preserved under output port awareness, and fibrations between
+// symmetric graphs under symmetric communications — CheckLifting verifies
+// these side conditions first.
 func CheckLifting(fib *fibration.Fibration, kind model.Kind, factory model.Factory,
 	baseInputs []model.Input, rounds int, seed int64) error {
+	desc, err := model.Lookup(kind)
+	if err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
 	if err := fib.Check(nil, nil); err != nil {
 		return fmt.Errorf("core: not a fibration: %w", err)
 	}
 	if len(baseInputs) != fib.Base.N() {
 		return fmt.Errorf("core: %d base inputs for %d base vertices", len(baseInputs), fib.Base.N())
 	}
-	switch kind {
-	case model.OutdegreeAware:
+	switch desc.Lifting {
+	case model.LiftAny:
+		// A blind cast (simple or one-bit broadcast) lifts along every
+		// fibration: no side condition.
+	case model.LiftOutdegree:
 		for v := 0; v < fib.Total.N(); v++ {
 			if fib.Total.OutDegree(v) != fib.Base.OutDegree(fib.VertexMap[v]) {
 				return fmt.Errorf("core: fibration does not preserve outdegrees at vertex %d (%d vs %d): Lemma 3.1 needs G_od → B_od",
 					v, fib.Total.OutDegree(v), fib.Base.OutDegree(fib.VertexMap[v]))
 			}
 		}
-	case model.OutputPortAware:
+	case model.LiftCovering:
 		if !fib.IsCovering() {
 			return fmt.Errorf("core: fibration is not a covering: with output ports every fibration must be (§4.3)")
 		}
-	case model.Symmetric:
+	case model.LiftSymmetric:
 		if !fib.Total.IsSymmetric() || !fib.Base.IsSymmetric() {
 			return fmt.Errorf("core: symmetric model needs bidirectional total and base graphs")
 		}
@@ -114,8 +123,12 @@ type WitnessReport struct {
 // (such as the sum) is not computed.
 func RingImpossibilityWitness(factory model.Factory, kind model.Kind,
 	nu map[float64]int, k1, k2, rounds int, seed int64) (*WitnessReport, error) {
-	if kind == model.Symmetric {
-		return nil, fmt.Errorf("core: use bidirectional rings for the symmetric model (BidirectionalRingWitness)")
+	desc, err := model.Lookup(kind)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	if desc.Lifting == model.LiftSymmetric {
+		return nil, fmt.Errorf("core: the ring construction uses directed rings, but %s needs bidirectional links", desc.Name)
 	}
 	if k1 < 1 || k2 < 1 {
 		return nil, fmt.Errorf("core: fold factors must be ≥ 1, got %d and %d", k1, k2)
@@ -128,7 +141,7 @@ func RingImpossibilityWitness(factory model.Factory, kind model.Kind,
 			return nil, err
 		}
 		g := fib.Total
-		if kind == model.OutputPortAware {
+		if desc.Lifting == model.LiftCovering {
 			g = g.AssignPorts()
 		}
 		e, err := engine.New(engine.Config{

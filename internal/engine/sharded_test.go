@@ -71,7 +71,7 @@ func algoCases() []algoCase {
 			name: "freqcalc",
 			kind: model.OutdegreeAware,
 			factory: func(t *testing.T) model.Factory {
-				f, err := freqcalc.NewFactory(model.OutdegreeAware, funcs.Average(), freqcalc.None)
+				f, err := freqcalc.NewFactory(model.OutdegreeAware, funcs.Average(), model.Help{})
 				if err != nil {
 					t.Fatal(err)
 				}

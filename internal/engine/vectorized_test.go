@@ -45,24 +45,25 @@ func vecCases() []vecCase {
 	staticRing := func(n int, seed int64) dynamic.Schedule {
 		return dynamic.NewStatic(graph.BidirectionalRing(n))
 	}
-	freqFactory := func(cfg pushsum.FrequencyConfig) func(t *testing.T, n int) model.Factory {
+	// A nonzero KnownN in the help is a placeholder for the run's n.
+	freqFactory := func(fn funcs.Func, help model.Help) func(t *testing.T, n int) model.Factory {
 		return func(t *testing.T, n int) model.Factory {
-			if cfg.KnownN != 0 {
-				cfg.KnownN = n
+			if help.KnownN != 0 {
+				help.KnownN = n
 			}
-			f, err := pushsum.NewFrequencyFactory(cfg)
+			f, err := pushsum.NewFrequencyFactory(fn, help)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return f
 		}
 	}
-	metroFreqFactory := func(cfg metropolis.FreqConfig) func(t *testing.T, n int) model.Factory {
+	metroFreqFactory := func(fn funcs.Func, help model.Help) func(t *testing.T, n int) model.Factory {
 		return func(t *testing.T, n int) model.Factory {
-			if cfg.KnownN != 0 {
-				cfg.KnownN = n
+			if help.KnownN != 0 {
+				help.KnownN = n
 			}
-			f, err := metropolis.NewFreqFactory(cfg)
+			f, err := metropolis.NewFreqFactory(fn, metropolis.MaxDegree, help)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,28 +97,28 @@ func vecCases() []vecCase {
 		{
 			name:     "pushsum-freq-approx/od",
 			kind:     model.OutdegreeAware,
-			factory:  freqFactory(pushsum.FrequencyConfig{F: funcs.Average(), Mode: pushsum.Approximate}),
+			factory:  freqFactory(funcs.Average(), model.Help{}),
 			schedule: splitRing,
 			rounds:   10,
 		},
 		{
 			name:     "pushsum-freq-bound/od",
 			kind:     model.OutdegreeAware,
-			factory:  freqFactory(pushsum.FrequencyConfig{F: funcs.Average(), Mode: pushsum.RoundToBound, BoundN: 16}),
+			factory:  freqFactory(funcs.Average(), model.Help{BoundN: 16}),
 			schedule: splitRing,
 			rounds:   10,
 		},
 		{
 			name:     "pushsum-freq-exact/od",
 			kind:     model.OutdegreeAware,
-			factory:  freqFactory(pushsum.FrequencyConfig{F: funcs.Sum(), Mode: pushsum.ExactSize, KnownN: -1}),
+			factory:  freqFactory(funcs.Sum(), model.Help{KnownN: -1}),
 			schedule: splitRing,
 			rounds:   10,
 		},
 		{
 			name:     "pushsum-freq-leader/od",
 			kind:     model.OutdegreeAware,
-			factory:  freqFactory(pushsum.FrequencyConfig{F: funcs.Sum(), Mode: pushsum.LeaderCount, Leaders: 1}),
+			factory:  freqFactory(funcs.Sum(), model.Help{Leaders: 1}),
 			schedule: splitRing,
 			inputs:   leaderInputs,
 			rounds:   10,
@@ -151,14 +152,14 @@ func vecCases() []vecCase {
 		{
 			name:     "metropolis-freq-bound/sym",
 			kind:     model.Symmetric,
-			factory:  metroFreqFactory(metropolis.FreqConfig{F: funcs.Average(), Variant: metropolis.MaxDegree, BoundN: 16, Mode: metropolis.FreqRoundToBound}),
+			factory:  metroFreqFactory(funcs.Average(), model.Help{BoundN: 16}),
 			schedule: randConn,
 			rounds:   10,
 		},
 		{
 			name:     "metropolis-freq-exact/sym",
 			kind:     model.Symmetric,
-			factory:  metroFreqFactory(metropolis.FreqConfig{F: funcs.Sum(), Variant: metropolis.MaxDegree, BoundN: 16, Mode: metropolis.FreqExactSize, KnownN: -1}),
+			factory:  metroFreqFactory(funcs.Sum(), model.Help{BoundN: 16, KnownN: -1}),
 			schedule: randConn,
 			rounds:   10,
 		},
@@ -303,7 +304,7 @@ func TestVectorizedNotVectorizable(t *testing.T) {
 	}{
 		{"gossip", model.SimpleBroadcast, mustFactory(gossip.NewFactory(funcs.Max())), ring()},
 		{"minbase", model.OutdegreeAware, mustFactory(minbase.NewFactory(model.OutdegreeAware)), ring()},
-		{"freqcalc", model.OutdegreeAware, mustFactory(freqcalc.NewFactory(model.OutdegreeAware, funcs.Average(), freqcalc.None)), ring()},
+		{"freqcalc", model.OutdegreeAware, mustFactory(freqcalc.NewFactory(model.OutdegreeAware, funcs.Average(), model.Help{})), ring()},
 		{"metropolis-standard", model.OutdegreeAware, mustFactory(metropolis.NewFactory(metropolis.Standard, 0)), ring()},
 		{"metropolis-lazy", model.OutdegreeAware, mustFactory(metropolis.NewFactory(metropolis.Lazy, 0)), ring()},
 		{"minbase-ports", model.OutputPortAware, mustFactory(minbase.NewFactory(model.OutputPortAware)), dynamic.NewStatic(graph.Ring(n).AssignPorts())},

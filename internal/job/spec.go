@@ -476,7 +476,7 @@ func (s Spec) Canonical() (Spec, error) {
 	}
 	c.Kind = desc.Canon
 	c.Model = ""
-	if desc.RequirePorts && c.Faults != nil && c.Faults.Churn != nil {
+	if desc.Lifting == model.LiftCovering && c.Faults != nil && c.Faults.Churn != nil {
 		return Spec{}, errf("faults.churn", "link churn cannot preserve the output-port labelling; use kind bc, od, or sym")
 	}
 
@@ -497,7 +497,7 @@ func (s Spec) Canonical() (Spec, error) {
 		// A dynamic builder is always a Table 2 setting; record it.
 		c.Dynamic = true
 	}
-	if desc.StaticOnly && !static {
+	if desc.Lifting == model.LiftCovering && !static {
 		return Spec{}, errf(modelField, "%s is only meaningful for static networks", desc.Name)
 	}
 

@@ -65,6 +65,9 @@ func init() {
 			return append(buf[:0], Bit(b.SendBit())), nil
 		},
 		Conforms: func(a Agent) bool { _, ok := a.(BitSender); return ok },
+		// A bit is a blind cast: executions lift along any fibration, as
+		// for simple broadcast.
+		Lifting: LiftAny,
 		// A bit row is a width-1 (or wider, algorithm's choice) vector, so
 		// the standard hook applies; the reference algorithm does not
 		// implement VectorAgent yet, in which case the kernels fall back

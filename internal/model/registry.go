@@ -12,9 +12,9 @@ import (
 // registered for it carries everything the rest of the system needs to
 // host the model — its names, its sending function (the uniform SendPlan
 // the round core dispatches through instead of type-switching on agent
-// interfaces), its agent-conformance check, its graph-class constraints
-// (symmetric ⇒ bidirectional links, port-aware ⇒ static port labelling),
-// and its vectorization hook for the vec/parvec kernels. Adding a model
+// interfaces), its agent-conformance check, its fibration class (which
+// also fixes its graph-class constraints), and its vectorization hook for
+// the vec/parvec kernels. Adding a model
 // means registering one descriptor (plus an algorithm realizing its table
 // cell); the engines, the spec codec, the facade, the CLI, and the report
 // matrix pick it up from here.
@@ -60,22 +60,10 @@ type Descriptor struct {
 	// crash-restarts, through Plan's own assertion).
 	Conforms func(a Agent) bool
 
-	// Graph-class constraints, enforced by the topology layer per round.
-	//
-	// RequireSymmetric restricts the model to networks with bidirectional
-	// links (the symmetric model's class restriction, §2.2).
-	RequireSymmetric bool
-	// RequirePorts demands a valid output-port labelling on every round
-	// graph; it also marks the models link churn cannot serve (churn
-	// cannot preserve a port labelling).
-	RequirePorts bool
-	// StaticOnly restricts the model to static networks (port labellings
-	// are only meaningful on fixed graphs, §2.2).
-	StaticOnly bool
-	// PortSlots selects the Snapshot slot layout: true means edge e
-	// delivers sent[port(e)−1] (one message per port), false means every
-	// edge delivers sent[0] (a broadcast).
-	PortSlots bool
+	// Lifting is the fibration class of the model's executions (Lemma
+	// 3.1). It fixes the graph class the topology layer enforces, the slot
+	// layout, static-only use, and the kernel equation of Theorem 4.1.
+	Lifting Lifting
 
 	// VecSend is the vectorization hook; nil means not vectorizable.
 	VecSend VecSendFunc
@@ -114,6 +102,8 @@ func Register(d Descriptor) {
 		panic(fmt.Sprintf("model: Register(%q): descriptor needs Plan and Conforms", d.Canon))
 	case d.Iface == "":
 		panic(fmt.Sprintf("model: Register(%q): descriptor needs Iface for conformance errors", d.Canon))
+	case d.Lifting < LiftAny || d.Lifting > LiftSymmetric:
+		panic(fmt.Sprintf("model: Register(%q): descriptor needs a Lifting class", d.Canon))
 	case registry[d.Kind] != nil:
 		panic(fmt.Sprintf("model: Register(%q): kind %d already registered as %q", d.Canon, int(d.Kind), registry[d.Kind].Canon))
 	}
@@ -234,6 +224,7 @@ func init() {
 			return append(buf[:0], b.Send()), nil
 		},
 		Conforms: func(a Agent) bool { _, ok := a.(Broadcaster); return ok },
+		Lifting:  LiftAny,
 		VecSend:  vecSendDefault,
 	})
 	Register(Descriptor{
@@ -250,6 +241,7 @@ func init() {
 			return append(buf[:0], sd.SendOutdegree(outdeg)), nil
 		},
 		Conforms: func(a Agent) bool { _, ok := a.(OutdegreeSender); return ok },
+		Lifting:  LiftOutdegree,
 		VecSend:  vecSendDefault,
 	})
 	Register(Descriptor{
@@ -269,10 +261,8 @@ func init() {
 			}
 			return msgs, nil
 		},
-		Conforms:     func(a Agent) bool { _, ok := a.(PortSender); return ok },
-		RequirePorts: true,
-		StaticOnly:   true,
-		PortSlots:    true,
+		Conforms: func(a Agent) bool { _, ok := a.(PortSender); return ok },
+		Lifting:  LiftCovering,
 		// VecSend nil: one message per port has no fixed-width vector form.
 	})
 	Register(Descriptor{
@@ -288,8 +278,8 @@ func init() {
 			}
 			return append(buf[:0], b.Send()), nil
 		},
-		Conforms:         func(a Agent) bool { _, ok := a.(Broadcaster); return ok },
-		RequireSymmetric: true,
-		VecSend:          vecSendDefault,
+		Conforms: func(a Agent) bool { _, ok := a.(Broadcaster); return ok },
+		Lifting:  LiftSymmetric,
+		VecSend:  vecSendDefault,
 	})
 }

@@ -14,7 +14,7 @@ func TestRegistryDescriptorsOrderAndShape(t *testing.T) {
 		if i > 0 && descs[i-1].Kind >= d.Kind {
 			t.Fatalf("descriptors not in Kind order: %d before %d", int(descs[i-1].Kind), int(d.Kind))
 		}
-		if d.Plan == nil || d.Conforms == nil || d.Name == "" || d.Canon == "" || d.Iface == "" {
+		if d.Plan == nil || d.Conforms == nil || d.Name == "" || d.Canon == "" || d.Iface == "" || d.Lifting == 0 {
 			t.Fatalf("descriptor %q incomplete: %+v", d.Canon, d)
 		}
 		got, err := Lookup(d.Kind)
@@ -91,13 +91,15 @@ func TestRegisterRejectsBadDescriptors(t *testing.T) {
 	}
 	plan := func(a Agent, _ int, buf []Message) ([]Message, error) { return buf[:0], nil }
 	conforms := func(Agent) bool { return true }
-	mustPanic("zero kind", Descriptor{Kind: 0, Name: "x", Canon: "x", Iface: "x", Plan: plan, Conforms: conforms})
-	mustPanic("no name", Descriptor{Kind: 9, Canon: "x", Iface: "x", Plan: plan, Conforms: conforms})
-	mustPanic("no plan", Descriptor{Kind: 9, Name: "x", Canon: "x", Iface: "x", Conforms: conforms})
-	mustPanic("no iface", Descriptor{Kind: 9, Name: "x", Canon: "x", Plan: plan, Conforms: conforms})
-	mustPanic("dup kind", Descriptor{Kind: SimpleBroadcast, Name: "x", Canon: "x9", Iface: "x", Plan: plan, Conforms: conforms})
-	mustPanic("dup name", Descriptor{Kind: 9, Name: "x", Canon: "bc", Iface: "x", Plan: plan, Conforms: conforms})
-	mustPanic("dup alias", Descriptor{Kind: 9, Name: "x", Canon: "x9", Aliases: []string{"ONEBIT"}, Iface: "x", Plan: plan, Conforms: conforms})
+	mustPanic("zero kind", Descriptor{Kind: 0, Name: "x", Canon: "x", Iface: "x", Plan: plan, Conforms: conforms, Lifting: LiftAny})
+	mustPanic("no name", Descriptor{Kind: 9, Canon: "x", Iface: "x", Plan: plan, Conforms: conforms, Lifting: LiftAny})
+	mustPanic("no plan", Descriptor{Kind: 9, Name: "x", Canon: "x", Iface: "x", Conforms: conforms, Lifting: LiftAny})
+	mustPanic("no iface", Descriptor{Kind: 9, Name: "x", Canon: "x", Plan: plan, Conforms: conforms, Lifting: LiftAny})
+	mustPanic("no lifting", Descriptor{Kind: 9, Name: "x", Canon: "x9", Iface: "x", Plan: plan, Conforms: conforms})
+	mustPanic("bad lifting", Descriptor{Kind: 9, Name: "x", Canon: "x9", Iface: "x", Plan: plan, Conforms: conforms, Lifting: LiftSymmetric + 1})
+	mustPanic("dup kind", Descriptor{Kind: SimpleBroadcast, Name: "x", Canon: "x9", Iface: "x", Plan: plan, Conforms: conforms, Lifting: LiftAny})
+	mustPanic("dup name", Descriptor{Kind: 9, Name: "x", Canon: "bc", Iface: "x", Plan: plan, Conforms: conforms, Lifting: LiftAny})
+	mustPanic("dup alias", Descriptor{Kind: 9, Name: "x", Canon: "x9", Aliases: []string{"ONEBIT"}, Iface: "x", Plan: plan, Conforms: conforms, Lifting: LiftAny})
 }
 
 func TestOneBitDescriptor(t *testing.T) {
@@ -114,7 +116,42 @@ func TestOneBitDescriptor(t *testing.T) {
 	if d.VecSend == nil {
 		t.Error("one-bit broadcast shares the broadcast vector form; VecSend must be set")
 	}
-	if d.StaticOnly || d.RequirePorts || d.RequireSymmetric || d.PortSlots {
-		t.Errorf("one-bit graph constraints wrong: %+v", d)
+	if d.Lifting != LiftAny {
+		t.Errorf("one-bit broadcast is a blind cast and lifts along any fibration; Lifting = %v", d.Lifting)
+	}
+}
+
+func TestRegistryLiftingClasses(t *testing.T) {
+	want := map[Kind]Lifting{
+		SimpleBroadcast: LiftAny,
+		OutdegreeAware:  LiftOutdegree,
+		OutputPortAware: LiftCovering,
+		Symmetric:       LiftSymmetric,
+		OneBitBroadcast: LiftAny,
+	}
+	for k, l := range want {
+		d, err := Lookup(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Lifting != l {
+			t.Errorf("%s: Lifting = %v, want %v", d.Canon, d.Lifting, l)
+		}
+	}
+}
+
+func TestHelp(t *testing.T) {
+	if err := (Help{}).Validate(); err != nil {
+		t.Errorf("no help rejected: %v", err)
+	}
+	for _, h := range []Help{{BoundN: -1}, {KnownN: -2}, {Leaders: -3}} {
+		if h.Validate() == nil {
+			t.Errorf("negative help %+v accepted", h)
+		}
+	}
+	for h, counts := range map[Help]bool{{}: false, {BoundN: 8}: false, {KnownN: 6}: true, {Leaders: 1}: true} {
+		if h.Counts() != counts {
+			t.Errorf("%+v.Counts() = %t, want %t", h, h.Counts(), counts)
+		}
 	}
 }

@@ -5,15 +5,47 @@
 package reconstruct
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
+	"anonnet/internal/funcs"
+	"anonnet/internal/model"
 	"anonnet/internal/multiset"
 	"anonnet/internal/rational"
 )
 
 // Args is a value multiset.
 type Args = multiset.Multiset[float64]
+
+// Check rejects negative help, and a function beyond frequency-based
+// when the help does not fix multiplicities (Theorem 4.1, Cor. 5.3, 5.5).
+func Check(f funcs.Func, h model.Help) error {
+	if err := h.Validate(); err != nil {
+		return err
+	}
+	if !h.Counts() && !funcs.FrequencyBased.Contains(f.Class) {
+		return fmt.Errorf("%q is %v; without the size or a leader count only frequency-based functions are computable", f.Name, f.Class)
+	}
+	return nil
+}
+
+// FromHelp reconstructs the multiset with the strongest help: Counts
+// scaled by ℓ leaders (§5.5, x[ω] → multiplicity(ω)/ℓ) or by the size n
+// (Cor. 5.4), Rounded in ℚ_N for a bound N (Cor. 5.3), else Approximate
+// with the highly divisible denominator 360360 (Cor. 5.5).
+func FromHelp(x map[float64]float64, h model.Help) (*Args, bool) {
+	switch {
+	case h.Leaders > 0:
+		return Counts(x, float64(h.Leaders))
+	case h.KnownN > 0:
+		return Counts(x, float64(h.KnownN))
+	case h.BoundN > 0:
+		return Rounded(x, h.BoundN)
+	default:
+		return Approximate(x, 360360)
+	}
+}
 
 // Approximate builds an ⟨x̂⟩-frequenced multiset from raw quotients,
 // normalized and discretized with the fixed denominator q (§5.4's x̂

@@ -34,11 +34,16 @@ func WithLeaders(in []model.Input, leaders ...int) []model.Input {
 
 // RunStatic runs the factory on a static graph for the given number of
 // rounds and returns the engine (so callers can inspect agents and
-// outputs). The graph is port-labelled automatically for the port model.
+// outputs). The graph is port-labelled automatically for models lifting
+// along coverings (the port model).
 func RunStatic(t *testing.T, g *graph.Graph, kind model.Kind, inputs []model.Input,
 	factory model.Factory, rounds int, seed int64) *engine.Engine {
 	t.Helper()
-	if kind == model.OutputPortAware && !g.PortsValid() {
+	desc, err := model.Lookup(kind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if desc.Lifting == model.LiftCovering && !g.PortsValid() {
 		g = g.AssignPorts()
 	}
 	e, err := engine.New(engine.Config{
@@ -106,7 +111,14 @@ func AllOutputsEqual(t *testing.T, outs []model.Value, want model.Value, context
 	}
 }
 
-// CapableKinds lists the three models of Theorem 4.1.
+// CapableKinds lists the registered models whose executions do not lift
+// along every fibration — the three models of Theorem 4.1 — in Kind order.
 func CapableKinds() []model.Kind {
-	return []model.Kind{model.OutdegreeAware, model.OutputPortAware, model.Symmetric}
+	var kinds []model.Kind
+	for _, d := range model.Descriptors() {
+		if d.Lifting != model.LiftAny {
+			kinds = append(kinds, d.Kind)
+		}
+	}
+	return kinds
 }

@@ -176,7 +176,7 @@ func (s *Snapshot) build(g *graph.Graph, desc *model.Descriptor) {
 		s.fill[e.To]++
 		s.Src[pos] = int32(e.From)
 		s.Port[pos] = int32(e.Port)
-		if desc.PortSlots {
+		if desc.Lifting == model.LiftCovering {
 			s.Slot[pos] = int32(e.Port - 1)
 		} else {
 			s.Slot[pos] = 0
@@ -197,10 +197,10 @@ func validate(g *graph.Graph, desc *model.Descriptor, n, t int, requireSC bool) 
 	if !g.HasSelfLoops() {
 		return fmt.Errorf("topology: round %d graph lacks self-loops (§2.1 requires them)", t)
 	}
-	if desc.RequireSymmetric && !g.IsSymmetric() {
+	if desc.Lifting == model.LiftSymmetric && !g.IsSymmetric() {
 		return fmt.Errorf("topology: round %d graph is not symmetric but the model is %s", t, desc.Name)
 	}
-	if desc.RequirePorts && !g.PortsValid() {
+	if desc.Lifting == model.LiftCovering && !g.PortsValid() {
 		return fmt.Errorf("topology: round %d graph has no valid port labelling (use Graph.AssignPorts)", t)
 	}
 	if requireSC && !g.StronglyConnected() {
