@@ -9,7 +9,6 @@ package anonnet_test
 import (
 	"context"
 	"fmt"
-	"math"
 	"testing"
 	"time"
 
@@ -27,85 +26,24 @@ import (
 	"anonnet/internal/service"
 )
 
-func benchInputs(n int, row core.Row) []model.Input {
-	pattern := []float64{1, 2, 2}
-	out := make([]model.Input, n)
-	for i := range out {
-		out[i] = model.Input{Value: pattern[i%3]}
-	}
-	if row == core.RowLeader {
-		out[0].Leader = true
-	}
-	return out
-}
-
-func repFunc(c funcs.Class) funcs.Func {
-	switch c {
-	case funcs.SetBased:
-		return funcs.Max()
-	case funcs.FrequencyBased:
-		return funcs.Average()
-	default:
-		return funcs.Sum()
-	}
-}
-
-// runCell runs one cell's algorithm to ε-agreement, returning rounds.
-func runCell(b *testing.B, kind model.Kind, row core.Row, static bool, n int, seed int64) int {
-	b.Helper()
-	s := core.Setting{Kind: kind, Static: static, Row: row, BoundN: n + 2, KnownN: n, Leaders: 1}
-	cell := s.Cell()
-	f := repFunc(cell.Class)
-	if cell.Open {
-		f = funcs.Average()
-	}
-	factory, err := core.NewFactory(f, s)
-	if err != nil {
-		b.Fatal(err)
-	}
-	inputs := benchInputs(n, row)
-	vals := make([]float64, n)
-	for i, in := range inputs {
-		vals[i] = in.Value
-	}
-	want := f.FromVector(vals)
-	var schedule dynamic.Schedule
-	switch {
-	case static && kind == model.Symmetric:
-		schedule = dynamic.NewStatic(graph.BidirectionalRing(n))
-	case static && kind == model.OutputPortAware:
-		schedule = dynamic.NewStatic(graph.Ring(n).AssignPorts())
-	case static:
-		schedule = dynamic.NewStatic(graph.Ring(n))
-	case kind == model.Symmetric:
-		schedule = &dynamic.RandomConnected{Vertices: n, ExtraEdges: 1, Seed: seed}
-	default:
-		schedule = &dynamic.SplitRing{Vertices: n}
-	}
-	e, err := engine.New(engine.Config{Schedule: schedule, Kind: kind, Inputs: inputs, Factory: factory, Seed: seed})
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := engine.RunUntilClose(e, want, model.Euclid, 1e-6, 20000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !res.Converged {
-		b.Fatalf("%v/%v did not converge (err %g)", kind, row, res.MaxErr)
-	}
-	return res.Rounds
-}
-
-// BenchmarkTable1 covers every implemented positive cell of Table 1 (T1).
-func BenchmarkTable1(b *testing.B) {
-	kinds := []model.Kind{model.SimpleBroadcast, model.OutdegreeAware, model.Symmetric, model.OutputPortAware}
-	for _, kind := range kinds {
+// benchTable times the positive half of every runnable cell of one table
+// through the check cmd/tables prints.
+func benchTable(b *testing.B, static bool) {
+	for _, d := range core.TableModels(static) {
 		for _, row := range core.Rows() {
-			b.Run(fmt.Sprintf("%v/%v", kind, row), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%v/%v", d.Kind, row), func(b *testing.B) {
 				b.ReportAllocs()
 				rounds := 0
 				for i := 0; i < b.N; i++ {
-					rounds = runCell(b, kind, row, true, 6, int64(i))
+					var detail string
+					var err error
+					rounds, detail, err = core.CellCheck{N: 6, Rounds: 20000, Seed: int64(i)}.Positive(d.Kind, row, static)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if rounds == 0 {
+						b.Skip(detail)
+					}
 				}
 				b.ReportMetric(float64(rounds), "rounds-to-1e-6")
 			})
@@ -113,33 +51,11 @@ func BenchmarkTable1(b *testing.B) {
 	}
 }
 
+// BenchmarkTable1 covers every positive cell of Table 1 (T1).
+func BenchmarkTable1(b *testing.B) { benchTable(b, true) }
+
 // BenchmarkTable2 covers every implemented positive cell of Table 2 (T2).
-func BenchmarkTable2(b *testing.B) {
-	type cellCase struct {
-		kind model.Kind
-		row  core.Row
-	}
-	cases := []cellCase{
-		{model.SimpleBroadcast, core.RowNoHelp},
-		{model.SimpleBroadcast, core.RowLeader},
-		{model.OutdegreeAware, core.RowNoHelp},
-		{model.OutdegreeAware, core.RowBound},
-		{model.OutdegreeAware, core.RowSize},
-		{model.OutdegreeAware, core.RowLeader},
-		{model.Symmetric, core.RowBound},
-		{model.Symmetric, core.RowSize},
-	}
-	for _, c := range cases {
-		b.Run(fmt.Sprintf("%v/%v", c.kind, c.row), func(b *testing.B) {
-			b.ReportAllocs()
-			rounds := 0
-			for i := 0; i < b.N; i++ {
-				rounds = runCell(b, c.kind, c.row, false, 6, int64(i))
-			}
-			b.ReportMetric(float64(rounds), "rounds-to-1e-6")
-		})
-	}
-}
+func BenchmarkTable2(b *testing.B) { benchTable(b, false) }
 
 // BenchmarkTable1Impossibility regenerates the negative cells (T1-neg):
 // the ring fibration witness and the broadcast set ceiling.
@@ -182,34 +98,16 @@ func BenchmarkPushSumConvergence(b *testing.B) {
 		for _, eps := range []float64{1e-4, 1e-8} {
 			b.Run(fmt.Sprintf("n=%d/eps=%.0e", n, eps), func(b *testing.B) {
 				b.ReportAllocs()
-				rounds := 0
+				var p core.Rate
 				for i := 0; i < b.N; i++ {
-					inputs := make([]model.Input, n)
-					want := 0.0
-					for j := range inputs {
-						inputs[j] = model.Input{Value: float64(j)}
-						want += float64(j)
+					var err error
+					p, err = core.PushSumRate(dynamic.NewStatic(graph.Ring(n)), n-1, core.LinearInputs(n), eps, int64(i))
+					if err != nil || p.Rounds < 0 {
+						b.Fatalf("no convergence: %v", err)
 					}
-					want /= float64(n)
-					e, err := engine.New(engine.Config{
-						Schedule: dynamic.NewStatic(graph.Ring(n)),
-						Kind:     model.OutdegreeAware,
-						Inputs:   inputs,
-						Factory:  pushsum.NewAverageFactory(),
-						Seed:     int64(i),
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					res, err := engine.RunUntilClose(e, want, model.Euclid, eps, 100000)
-					if err != nil || !res.Converged {
-						b.Fatal("no convergence")
-					}
-					rounds = res.Rounds
 				}
-				bound := float64(n*n*(n-1)) * math.Log(1/eps)
-				b.ReportMetric(float64(rounds), "rounds")
-				b.ReportMetric(float64(rounds)/bound, "bound-frac")
+				b.ReportMetric(float64(p.Rounds), "rounds")
+				b.ReportMetric(float64(p.Rounds)/p.Bound, "bound-frac")
 			})
 		}
 	}
@@ -220,109 +118,55 @@ func BenchmarkMinBaseStabilization(b *testing.B) {
 	for _, n := range []int{4, 8, 16} {
 		b.Run(fmt.Sprintf("ring/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
-			measured := 0
+			var p core.Rate
 			for i := 0; i < b.N; i++ {
-				factory, err := freqcalc.NewFactory(model.OutdegreeAware, funcs.Average(), model.Help{})
-				if err != nil {
-					b.Fatal(err)
+				var err error
+				p, err = core.MinBaseRate(graph.Ring(n), core.StandardInputs(n, false), int64(i))
+				if err != nil || p.Rounds < 0 {
+					b.Fatalf("no stabilization: %v", err)
 				}
-				e, err := engine.New(engine.Config{
-					Schedule: dynamic.NewStatic(graph.Ring(n)),
-					Kind:     model.OutdegreeAware,
-					Inputs:   benchInputs(n, core.RowNoHelp),
-					Factory:  factory,
-					Seed:     int64(i),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := engine.RunUntilStable(e, model.Discrete, n+3*(n-1)+4, 4*n+40)
-				if err != nil || !res.Stable {
-					b.Fatal("no stabilization")
-				}
-				measured = res.StabilizedAt
 			}
-			b.ReportMetric(float64(measured), "stabilized-round")
-			b.ReportMetric(float64(n+(n-1)), "paper-n+D")
+			b.ReportMetric(float64(p.Rounds), "stabilized-round")
+			b.ReportMetric(p.Ref, "paper-n+D")
 		})
 	}
 }
 
-// BenchmarkMetropolis is F3: symmetric dynamic average consensus vs n².
+// BenchmarkMetropolis is F3: Metropolis averaging on static bidirectional
+// rings vs n².
 func BenchmarkMetropolis(b *testing.B) {
 	for _, n := range []int{4, 8, 16} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
-			rounds := 0
+			var p core.Rate
 			for i := 0; i < b.N; i++ {
-				rounds = runMetropolisOnce(b, n, int64(i))
+				var err error
+				p, err = core.MetropolisRate(graph.BidirectionalRing(n), core.LinearInputs(n), 1e-6, int64(i))
+				if err != nil || p.Rounds < 0 {
+					b.Fatalf("no convergence: %v", err)
+				}
 			}
-			b.ReportMetric(float64(rounds), "rounds")
-			b.ReportMetric(float64(rounds)/float64(n*n), "rounds-per-n2")
+			b.ReportMetric(float64(p.Rounds), "rounds")
+			b.ReportMetric(float64(p.Rounds)/float64(n*n), "rounds-per-n2")
 		})
 	}
 }
 
-func runMetropolisOnce(b *testing.B, n int, seed int64) int {
-	b.Helper()
-	factory, err := core.NewFactory(funcs.Average(),
-		core.Setting{Kind: model.Symmetric, Static: false, Row: core.RowBound, BoundN: n + 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	inputs := make([]model.Input, n)
-	want := 0.0
-	for j := range inputs {
-		inputs[j] = model.Input{Value: float64(j)}
-		want += float64(j)
-	}
-	want /= float64(n)
-	e, err := engine.New(engine.Config{
-		Schedule: &dynamic.RandomConnected{Vertices: n, ExtraEdges: 1, Seed: seed},
-		Kind:     model.Symmetric,
-		Inputs:   inputs,
-		Factory:  factory,
-		Seed:     seed,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := engine.RunUntilClose(e, want, model.Euclid, 1e-6, 200000)
-	if err != nil || !res.Converged {
-		b.Fatal("no convergence")
-	}
-	return res.Rounds
-}
-
 // BenchmarkExactRounding is F4: exact ℚ_N stabilization vs n²·D·log N.
 func BenchmarkExactRounding(b *testing.B) {
-	n := 6
+	const n = 6
 	for _, bound := range []int{6, 24} {
 		b.Run(fmt.Sprintf("N=%d", bound), func(b *testing.B) {
 			b.ReportAllocs()
-			stabilized := 0
+			var p core.Rate
 			for i := 0; i < b.N; i++ {
-				factory, err := pushsum.NewFrequencyFactory(funcs.Average(), model.Help{BoundN: bound})
-				if err != nil {
-					b.Fatal(err)
+				var err error
+				p, err = core.ExactRoundingRate(graph.Ring(n), core.StandardInputs(n, false), bound, int64(i))
+				if err != nil || p.Rounds < 0 {
+					b.Fatalf("no stabilization: %v", err)
 				}
-				e, err := engine.New(engine.Config{
-					Schedule: dynamic.NewStatic(graph.Ring(n)),
-					Kind:     model.OutdegreeAware,
-					Inputs:   benchInputs(n, core.RowNoHelp),
-					Factory:  factory,
-					Seed:     int64(i),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := engine.RunUntilStable(e, model.Discrete, 100, 5000)
-				if err != nil || !res.Stable {
-					b.Fatal("no stabilization")
-				}
-				stabilized = res.StabilizedAt
 			}
-			b.ReportMetric(float64(stabilized), "stabilized-round")
+			b.ReportMetric(float64(p.Rounds), "stabilized-round")
 		})
 	}
 }

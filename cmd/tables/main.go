@@ -2,8 +2,8 @@
 // every (communication model × centralized help) cell it runs the algorithm
 // realizing the cell's positive half on representative networks and checks
 // the outputs, and regenerates the negative half with the fibration
-// witnesses of §4.1. The output mirrors the tables, one verified cell at a
-// time.
+// witnesses of §4.1. The checks are internal/core's CellCheck; this command
+// prints them, one verified cell at a time, and exits 1 when a cell fails.
 //
 // Usage:
 //
@@ -11,292 +11,87 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"anonnet/internal/core"
-	"anonnet/internal/dynamic"
-	"anonnet/internal/engine"
-	"anonnet/internal/funcs"
-	"anonnet/internal/graph"
-	"anonnet/internal/model"
 	"anonnet/internal/report"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run regenerates the selected tables onto stdout and returns the exit
+// code: 0 when every cell verified, 1 when one failed, 2 on bad flags.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tables", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		table   = flag.Int("table", 0, "which table to regenerate (1, 2, or 0 for both)")
-		n       = flag.Int("n", 6, "network size for the verification runs")
-		rounds  = flag.Int("rounds", 4000, "round budget per run")
-		seed    = flag.Int64("seed", 1, "base RNG seed")
-		verbose = flag.Bool("v", false, "print per-run details")
+		table   = fs.Int("table", 0, "which table to regenerate (1, 2, or 0 for both)")
+		n       = fs.Int("n", 6, "network size for the verification runs")
+		rounds  = fs.Int("rounds", 4000, "round budget per run")
+		seed    = fs.Int64("seed", 1, "base RNG seed")
+		verbose = fs.Bool("v", false, "print per-run details")
 	)
-	flag.Parse()
-	r := &runner{n: *n, rounds: *rounds, seed: *seed, verbose: *verbose}
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *table < 0 || *table > 2 {
+		fmt.Fprintf(stderr, "tables: unknown -table %d; valid: 0 (both), 1, 2\n", *table)
+		return 2
+	}
+	check := core.CellCheck{N: *n, Rounds: *rounds, Seed: *seed}
 	ok := true
 	if *table == 0 || *table == 1 {
-		ok = r.table1() && ok
+		ok = printTable(stdout, check, "Table 1: static, strongly connected anonymous networks", true, *verbose) && ok
 	}
 	if *table == 0 || *table == 2 {
-		ok = r.table2() && ok
+		fmt.Fprintln(stdout)
+		ok = printTable(stdout, check, "Table 2: dynamic anonymous networks with finite dynamic diameter", false, *verbose) && ok
 	}
 	if !ok {
-		fmt.Println("\nRESULT: some cells FAILED verification")
-		os.Exit(1)
+		fmt.Fprintln(stdout, "\nRESULT: some cells FAILED verification")
+		return 1
 	}
-	fmt.Println("\nRESULT: all cells verified")
+	fmt.Fprintln(stdout, "\nRESULT: all cells verified")
+	return 0
 }
 
-type runner struct {
-	n       int
-	rounds  int
-	seed    int64
-	verbose bool
-}
-
-func (r *runner) logf(format string, args ...any) {
-	if r.verbose {
-		fmt.Printf("    "+format+"\n", args...)
-	}
-}
-
-// representative returns the function used to verify a positive cell of the
-// given class, with its expected value on the standard input multiset.
-func representative(c funcs.Class) funcs.Func {
-	switch c {
-	case funcs.SetBased:
-		return funcs.Max()
-	case funcs.FrequencyBased:
-		return funcs.Average()
-	default:
-		return funcs.Sum()
-	}
-}
-
-// inputsFor builds the standard verification input: values 1, 2, 2
-// repeated — or 1, 0, 0 for binary-input models like onebit — plus a
-// leader mark on agent 0 when the row needs one.
-func inputsFor(d *model.Descriptor, n int, row core.Row) []model.Input {
-	out := make([]model.Input, n)
-	pattern := []float64{1, 2, 2}
-	if d.BinaryInputs {
-		pattern = []float64{1, 0, 0}
-	}
-	for i := range out {
-		out[i] = model.Input{Value: pattern[i%len(pattern)]}
-	}
-	if row == core.RowLeader {
-		out[0].Leader = true
-	}
-	return out
-}
-
-func expected(f funcs.Func, inputs []model.Input) float64 {
-	vals := make([]float64, len(inputs))
-	for i, in := range inputs {
-		vals[i] = in.Value
-	}
-	return f.FromVector(vals)
-}
-
-func (r *runner) setting(kind model.Kind, row core.Row, static bool) core.Setting {
-	return core.Setting{
-		Kind: kind, Static: static, Row: row,
-		BoundN: r.n + 2, KnownN: r.n, Leaders: 1,
-	}
-}
-
-// staticNetwork picks a representative strongly connected network in the
-// model's graph class.
-func staticNetwork(d *model.Descriptor, n int) *graph.Graph {
-	switch d.Lifting {
-	case model.LiftSymmetric:
-		return graph.BidirectionalRing(n)
-	case model.LiftCovering:
-		return graph.Ring(n).AssignPorts()
-	default:
-		return graph.Ring(n)
-	}
-}
-
-// tableModels derives each table's model rows from the registry: every
-// registered model gets a Table 1 row, and every model meaningful on
-// dynamic networks (all but the port-labelled coverings) gets a Table 2
-// row — so a newly registered model appears in the matrix without
-// touching this command.
-func tableModels(static bool) []*model.Descriptor {
-	var descs []*model.Descriptor
-	for _, d := range model.Descriptors() {
-		if !static && d.Lifting == model.LiftCovering {
-			continue
-		}
-		descs = append(descs, d)
-	}
-	return descs
-}
-
-func (r *runner) table1() bool {
-	return r.runTable("Table 1: static, strongly connected anonymous networks", true)
-}
-
-func (r *runner) table2() bool {
-	fmt.Println()
-	return r.runTable("Table 2: dynamic anonymous networks with finite dynamic diameter", false)
-}
-
-// runTable verifies every cell of one table and renders the matrix — one
-// row per registered model, one column per centralized-help row — through
-// internal/report.
-func (r *runner) runTable(title string, static bool) bool {
+// printTable checks every cell of one table and renders the matrix — one
+// row per model, one column per centralized-help row. Failures, and with
+// verbose every check's details, are printed as the cells are checked.
+func printTable(w io.Writer, check core.CellCheck, title string, static, verbose bool) bool {
 	header := []string{"model"}
 	for _, row := range core.Rows() {
 		header = append(header, row.String())
 	}
 	tab := report.NewTable(title, header...)
 	ok := true
-	for _, d := range tableModels(static) {
+	for _, d := range core.TableModels(static) {
 		cells := []any{d.Name}
 		for _, row := range core.Rows() {
-			cell := r.setting(d.Kind, row, static).Cell()
-			status := r.verifyPositive(d, row, static, cell) && r.verifyNegative(d, row, static, cell)
+			log, err := check.Check(d.Kind, row, static)
+			if verbose {
+				for _, line := range log {
+					fmt.Fprintf(w, "    %v/%v: %s\n", d.Kind, row, line)
+				}
+			}
 			mark := "✓"
-			if !status {
+			if err != nil {
+				fmt.Fprintf(w, "    ! %v/%v: %v\n", d.Kind, row, err)
 				mark = "✗"
 				ok = false
 			}
-			cells = append(cells, mark+" "+cell.String())
+			cells = append(cells, mark+" "+core.Setting{Kind: d.Kind, Static: static, Row: row}.Cell().String())
 		}
 		tab.AddRow(cells...)
 	}
-	if err := tab.WriteText(os.Stdout); err != nil {
-		fmt.Printf("! rendering %s: %v\n", title, err)
+	if err := tab.WriteText(w); err != nil {
+		fmt.Fprintf(w, "! rendering %s: %v\n", title, err)
 		return false
 	}
 	return ok
-}
-
-// verifyPositive runs the cell's algorithm on the cell's representative
-// function and checks convergence to the true value.
-func (r *runner) verifyPositive(d *model.Descriptor, row core.Row, static bool, cell core.Cell) bool {
-	kind := d.Kind
-	f := representative(cell.Class)
-	if cell.Open && cell.ContinuityOnly {
-		// Open cells: verify the known lower bound (continuous
-		// frequency-based computation).
-		f = funcs.Average()
-	}
-	s := r.setting(kind, row, static)
-	factory, err := core.NewFactory(f, s)
-	if err != nil {
-		if errors.Is(err, core.ErrNotReimplemented) {
-			r.logf("%v/%v: positive half delegated to Di Luna & Viglietta's algorithm (not reimplemented, DESIGN.md §6)", kind, row)
-			return true
-		}
-		fmt.Printf("    ! %v/%v: no factory: %v\n", kind, row, err)
-		return false
-	}
-	inputs := inputsFor(d, r.n, row)
-	want := expected(f, inputs)
-	var schedule dynamic.Schedule
-	switch {
-	case static:
-		schedule = dynamic.NewStatic(staticNetwork(d, r.n))
-	case d.Lifting == model.LiftSymmetric:
-		schedule = &dynamic.RandomConnected{Vertices: r.n, ExtraEdges: 1, Seed: r.seed}
-	case kind == model.OneBitBroadcast:
-		// The alternating one-bit flood has period 2 and can resonate with
-		// a period-2 schedule like SplitRing (one flood never crosses the
-		// bridge rounds); verify on schedules connected every round.
-		schedule = &dynamic.RandomConnected{Vertices: r.n, ExtraEdges: 1, Seed: r.seed}
-	default:
-		schedule = &dynamic.SplitRing{Vertices: r.n}
-	}
-	e, err := engine.New(engine.Config{
-		Schedule: schedule, Kind: kind, Inputs: inputs, Factory: factory, Seed: r.seed,
-	})
-	if err != nil {
-		fmt.Printf("    ! %v/%v: engine: %v\n", kind, row, err)
-		return false
-	}
-	res, err := engine.RunUntilClose(e, want, model.Euclid, 1e-6, r.rounds)
-	if err != nil {
-		fmt.Printf("    ! %v/%v: run: %v\n", kind, row, err)
-		return false
-	}
-	if !res.Converged {
-		fmt.Printf("    ! %v/%v: %s did not converge to %v within %d rounds (max err %g)\n",
-			kind, row, f.Name, want, r.rounds, res.MaxErr)
-		return false
-	}
-	r.logf("%v/%v: %s → %v in %d rounds", kind, row, f.Name, want, res.Rounds)
-	return true
-}
-
-// verifyNegative regenerates the cell's upper bound: a function one class
-// up must (a) be refused by the dispatcher and (b) be witnessed
-// indistinguishable by the §4.1 construction.
-func (r *runner) verifyNegative(d *model.Descriptor, row core.Row, static bool, cell core.Cell) bool {
-	kind := d.Kind
-	if cell.Class == funcs.MultisetBased || cell.Open {
-		return true // nothing above multiset-based (Lemma 3.3); open cells have no proven ceiling
-	}
-	above := funcs.Average()
-	if cell.Class == funcs.FrequencyBased {
-		above = funcs.Sum()
-	}
-	if _, err := core.NewFactory(above, r.setting(kind, row, static)); err == nil {
-		fmt.Printf("    ! %v/%v: dispatcher accepted %s beyond the cell's class\n", kind, row, above.Name)
-		return false
-	}
-	if d.BinaryInputs {
-		// One bit per round is a syntactic restriction of simple broadcast
-		// (σ : Q → {0,1} ⊆ σ : Q → M), so the set-based ceiling is
-		// inherited from the broadcast witness verified above; the witness
-		// constructions themselves use non-binary input multisets the
-		// one-bit reference algorithm does not take.
-		r.logf("%v/%v: ceiling inherited from simple broadcast (dispatcher refusal verified)", kind, row)
-		return true
-	}
-	if !static {
-		return true // dynamic negative cells inherit from the static witnesses
-	}
-	// Fibration witness. A blind cast lifts along any fibration: same set,
-	// different frequencies. Others: same frequencies, different sizes
-	// (sum ceiling).
-	if d.Lifting == model.LiftAny {
-		factory, err := core.NewFactory(funcs.Max(), r.setting(kind, row, static))
-		if err != nil {
-			fmt.Printf("    ! %v/%v: witness factory: %v\n", kind, row, err)
-			return false
-		}
-		rep, err := core.BroadcastSetCeilingWitness(factory, map[float64]int{1: 1, 5: 1},
-			[]int{1, 2}, []int{1, 4}, 40, r.seed)
-		if err != nil || !rep.Agree {
-			fmt.Printf("    ! %v/%v: broadcast ceiling witness failed: %v\n", kind, row, err)
-			return false
-		}
-		r.logf("%v/%v: broadcast ceiling witness: %s", kind, row, rep.Detail)
-		return true
-	}
-	factory, err := core.NewFactory(funcs.Average(), r.setting(kind, row, static))
-	if err != nil {
-		fmt.Printf("    ! %v/%v: witness factory: %v\n", kind, row, err)
-		return false
-	}
-	witnessKind := kind
-	if d.Lifting == model.LiftSymmetric {
-		// The §4.1 ring construction uses directed rings; symmetric
-		// equivalence (Theorem 4.1) lets the od witness stand in.
-		witnessKind = model.OutdegreeAware
-	}
-	rep, err := core.RingImpossibilityWitness(factory, witnessKind,
-		map[float64]int{1: 2, 5: 1}, 2, 3, 80, r.seed)
-	if err != nil || !rep.Agree {
-		fmt.Printf("    ! %v/%v: ring witness failed (err=%v)\n", kind, row, err)
-		return false
-	}
-	r.logf("%v/%v: ring witness (sum would need 6·μ ≠ 9·μ): %s", kind, row, rep.Detail)
-	return true
 }

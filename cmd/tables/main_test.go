@@ -1,99 +1,117 @@
 package main
 
 import (
+	"bytes"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
-
-	"anonnet/internal/core"
-	"anonnet/internal/funcs"
-	"anonnet/internal/model"
 )
 
-func TestRepresentativeCoversClasses(t *testing.T) {
-	if f := representative(funcs.SetBased); f.Class != funcs.SetBased {
-		t.Errorf("set-based representative is %v", f.Class)
+var (
+	verboseOnce   sync.Once
+	verboseOut    string
+	verboseStatus int
+)
+
+// verboseRun runs `tables -v` once for the whole package.
+func verboseRun(t *testing.T) string {
+	t.Helper()
+	verboseOnce.Do(func() {
+		var stdout, stderr bytes.Buffer
+		verboseStatus = run([]string{"-v"}, &stdout, &stderr)
+		verboseOut = stdout.String() + stderr.String()
+	})
+	if verboseStatus != 0 {
+		t.Fatalf("tables -v exited %d:\n%s", verboseStatus, verboseOut)
 	}
-	if f := representative(funcs.FrequencyBased); f.Class != funcs.FrequencyBased {
-		t.Errorf("frequency-based representative is %v", f.Class)
-	}
-	if f := representative(funcs.MultisetBased); f.Class != funcs.MultisetBased {
-		t.Errorf("multiset-based representative is %v", f.Class)
-	}
+	return verboseOut
 }
 
-func TestInputsForMarksLeaderOnlyWhenAsked(t *testing.T) {
-	plain := inputsFor(desc(t, model.OutdegreeAware), 6, core.RowNoHelp)
-	for i, in := range plain {
-		if in.Leader {
-			t.Fatalf("agent %d marked leader without the leader row", i)
-		}
+func TestVerifySingleCellEndToEnd(t *testing.T) {
+	// A small budget keeps this fast; Table 1 converges within it.
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-table", "1", "-n", "4", "-rounds", "400", "-seed", "3"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d:\n%s%s", code, stdout.String(), stderr.String())
 	}
-	withLeader := inputsFor(desc(t, model.OutdegreeAware), 6, core.RowLeader)
-	if !withLeader[0].Leader {
-		t.Fatal("leader row did not mark agent 0")
+	out := stdout.String()
+	if !strings.Contains(out, "Table 1") || strings.Contains(out, "Table 2") {
+		t.Fatalf("-table 1 printed the wrong tables:\n%s", out)
 	}
-	count := 0
-	for _, in := range withLeader {
-		if in.Leader {
-			count++
-		}
-	}
-	if count != 1 {
-		t.Fatalf("%d leaders marked, want 1", count)
+	if !strings.HasSuffix(out, "RESULT: all cells verified\n") {
+		t.Fatalf("missing verdict:\n%s", out)
 	}
 }
 
 func TestExpectedMatchesFunction(t *testing.T) {
-	in := inputsFor(desc(t, model.OutdegreeAware), 6, core.RowNoHelp) // values 1,2,2,1,2,2
-	if got := expected(funcs.Sum(), in); got != 10 {
-		t.Fatalf("expected sum = %v, want 10", got)
-	}
-	if got := expected(funcs.Max(), in); got != 2 {
-		t.Fatalf("expected max = %v, want 2", got)
+	// The standard inputs 1,2,2,1,2,2: sum 10, average 5/3, max 2.
+	out := verboseRun(t)
+	for _, want := range []string{
+		"outdegree awareness/n is known: sum → 10 in ",
+		"outdegree awareness/no centralized help: average → 1.6666666666666667 in ",
+		"simple broadcast/no centralized help: max → 2 in ",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q", want)
+		}
 	}
 }
 
 func TestInputsForBinaryModels(t *testing.T) {
-	in := inputsFor(desc(t, model.OneBitBroadcast), 6, core.RowNoHelp) // values 1,0,0,1,0,0
-	for i, input := range in {
-		if input.Value != 0 && input.Value != 1 {
-			t.Fatalf("agent %d got non-binary input %v under onebit", i, input.Value)
-		}
+	// Under onebit the inputs are 1,0,0,…: max is 1, never 2.
+	out := verboseRun(t)
+	if !strings.Contains(out, "one-bit broadcast/no centralized help: max → 1 in ") {
+		t.Errorf("onebit did not verify max → 1:\n%s", out)
 	}
-	if got := expected(funcs.Max(), in); got != 1 {
-		t.Fatalf("expected max = %v, want 1", got)
-	}
-}
-
-func TestStaticNetworkPerKind(t *testing.T) {
-	if g := staticNetwork(desc(t, model.Symmetric), 6); !g.IsSymmetric() {
-		t.Fatal("symmetric kind got an asymmetric network")
-	}
-	if g := staticNetwork(desc(t, model.OutputPortAware), 6); !g.PortsValid() {
-		t.Fatal("port kind got an unlabelled network")
-	}
-	if g := staticNetwork(desc(t, model.OutdegreeAware), 6); !g.StronglyConnected() {
-		t.Fatal("od kind got a disconnected network")
+	if strings.Contains(out, "one-bit broadcast/no centralized help: max → 2") {
+		t.Error("onebit ran on non-binary inputs")
 	}
 }
 
-func TestVerifySingleCellEndToEnd(t *testing.T) {
-	// Run one positive and one negative verification through the harness
-	// plumbing (small budget keeps this fast).
-	r := &runner{n: 4, rounds: 400, seed: 3}
-	cell := core.StaticCell(model.OutdegreeAware, core.RowNoHelp)
-	if !r.verifyPositive(desc(t, model.OutdegreeAware), core.RowNoHelp, true, cell) {
-		t.Fatal("positive verification failed")
+func TestUnknownTableRejected(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-table", "7"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("-table 7 exited %d, want 2", code)
 	}
-	if !r.verifyNegative(desc(t, model.OutdegreeAware), core.RowNoHelp, true, cell) {
-		t.Fatal("negative verification failed")
+	if stdout.Len() != 0 {
+		t.Errorf("-table 7 ran something:\n%s", stdout.String())
+	}
+	if msg := stderr.String(); !strings.Contains(msg, "-table 7") || !strings.Contains(msg, "0 (both), 1, 2") {
+		t.Errorf("error does not name the valid tables: %q", msg)
 	}
 }
 
-func desc(t *testing.T, k model.Kind) *model.Descriptor {
-	t.Helper()
-	d, err := model.Lookup(k)
+// bannedImports are the layers the cell checks run on: they live in
+// internal/core, and this command only prints what core verifies.
+var bannedImports = []string{
+	"anonnet/internal/engine", "anonnet/internal/graph", "anonnet/internal/dynamic",
+	"anonnet/internal/fibration", "anonnet/internal/matrix",
+}
+
+func TestTablesImports(t *testing.T) {
+	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d
+	fset := token.NewFileSet()
+	for _, name := range files {
+		f, err := parser.ParseFile(fset, name, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			if strings.HasPrefix(path, "anonnet/internal/algorithms/") {
+				t.Errorf("%s imports %s; verify through internal/core instead", name, path)
+			}
+			for _, banned := range bannedImports {
+				if path == banned {
+					t.Errorf("%s imports %s; verify through internal/core instead", name, path)
+				}
+			}
+		}
+	}
 }

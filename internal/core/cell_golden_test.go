@@ -9,8 +9,6 @@ import (
 
 	"anonnet/internal/dynamic"
 	"anonnet/internal/engine"
-	"anonnet/internal/funcs"
-	"anonnet/internal/graph"
 	"anonnet/internal/model"
 )
 
@@ -57,53 +55,16 @@ var cellGolden = map[string]string{
 	"onebit/dynamic/leader": "49000c134fd1132bae582b71a2188797147d2f5e04e1f64e410623df9b9c6298",
 }
 
-// cellRepresentative is the function cmd/tables verifies a cell with: the
-// most demanding function of the cell's class, or the average for the
-// open cells whose known lower bound is continuous frequency-based
-// computation.
-func cellRepresentative(c Cell) funcs.Func {
-	switch {
-	case c.Open && c.ContinuityOnly:
-		return funcs.Average()
-	case c.Class == funcs.SetBased:
-		return funcs.Max()
-	case c.Class == funcs.FrequencyBased:
-		return funcs.Average()
-	default:
-		return funcs.Sum()
-	}
-}
-
-// cellConfig builds the engine configuration of one cell: six agents with
-// values 1, 2, 2 repeated (1, 0, 0 for binary-input models), a leader on
-// agent 0 in the leader row, a ring for Table 1 (bidirectional or
-// port-labelled as the model's graph class demands) and random connected
-// round graphs for Table 2.
+// cellConfig builds the engine configuration of one cell: CellCheck's
+// representative inputs and Table 1 networks for six agents, with the
+// schedule and seeds pinned when the hashes were recorded — random
+// connected round graphs for every Table 2 cell, engine seed 5.
 func cellConfig(d *model.Descriptor, s Setting, factory model.Factory) engine.Config {
-	const n = 6
-	pattern := []float64{1, 2, 2}
-	if d.BinaryInputs {
-		pattern = []float64{1, 0, 0}
+	cfg := CellCheck{N: 6, Seed: 5}.config(d, s, factory)
+	if !s.Static {
+		cfg.Schedule = &dynamic.RandomConnected{Vertices: 6, ExtraEdges: 1, Seed: 3}
 	}
-	inputs := make([]model.Input, n)
-	for i := range inputs {
-		inputs[i] = model.Input{Value: pattern[i%len(pattern)]}
-	}
-	if s.Row == RowLeader {
-		inputs[0].Leader = true
-	}
-	var sched dynamic.Schedule = &dynamic.RandomConnected{Vertices: n, ExtraEdges: 1, Seed: 3}
-	if s.Static {
-		g := graph.Ring(n)
-		switch d.Lifting {
-		case model.LiftSymmetric:
-			g = graph.BidirectionalRing(n)
-		case model.LiftCovering:
-			g = g.AssignPorts()
-		}
-		sched = dynamic.NewStatic(g)
-	}
-	return engine.Config{Schedule: sched, Kind: d.Kind, Inputs: inputs, Factory: factory, Seed: 5}
+	return cfg
 }
 
 // cellTraceHash hashes rounds rounds of output vectors, one line per
@@ -127,7 +88,7 @@ func TestCellGolden(t *testing.T) {
 	for _, d := range model.Descriptors() {
 		for _, static := range []bool{true, false} {
 			for _, row := range Rows() {
-				s := Setting{Kind: d.Kind, Static: static, Row: row, BoundN: 8, KnownN: 6, Leaders: 1}
+				s := CellCheck{N: 6}.setting(d.Kind, row, static)
 				if s.validate() != nil {
 					continue // not a cell of this table
 				}
@@ -136,7 +97,7 @@ func TestCellGolden(t *testing.T) {
 					table = "static"
 				}
 				name := d.Canon + "/" + table + "/" + rowNames[row]
-				factory, err := NewFactory(cellRepresentative(s.Cell()), s)
+				factory, err := NewFactory(s.Cell().Representative(), s)
 				if errors.Is(err, ErrNotReimplemented) {
 					continue // delegated cell
 				}

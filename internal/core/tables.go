@@ -9,7 +9,9 @@ package core
 import (
 	"fmt"
 
+	"anonnet/internal/dynamic"
 	"anonnet/internal/funcs"
+	"anonnet/internal/graph"
 	"anonnet/internal/model"
 )
 
@@ -74,6 +76,61 @@ func (c Cell) String() string {
 		s = "? ≥ " + s
 	}
 	return s + " — " + c.Source
+}
+
+// Representative returns the function the cell is verified with: the most
+// demanding function of its class, or the average for the open cells
+// whose known lower bound is continuous frequency-based computation.
+func (c Cell) Representative() funcs.Func {
+	switch {
+	case c.Open && c.ContinuityOnly:
+		return funcs.Average()
+	case c.Class == funcs.SetBased:
+		return funcs.Max()
+	case c.Class == funcs.FrequencyBased:
+		return funcs.Average()
+	default:
+		return funcs.Sum()
+	}
+}
+
+// TableModels derives a table's model rows from the registry: every
+// registered model has a Table 1 row, and every model meaningful on
+// dynamic networks (all but the port-labelled coverings) a Table 2 row —
+// so a newly registered model appears in the matrix without touching the
+// tables.
+func TableModels(static bool) []*model.Descriptor {
+	var descs []*model.Descriptor
+	for _, d := range model.Descriptors() {
+		if !static && d.Lifting == model.LiftCovering {
+			continue
+		}
+		descs = append(descs, d)
+	}
+	return descs
+}
+
+// cellSchedule returns the network a cell of s's table is verified on:
+// for Table 1, a ring of n agents in the model's graph class
+// (bidirectional or port-labelled as its lifting class demands); for
+// Table 2, random connected symmetric round graphs under symmetric
+// communications and one-bit broadcast, and the split ring otherwise.
+func cellSchedule(s Setting, d *model.Descriptor, n int, seed int64) dynamic.Schedule {
+	switch {
+	case s.Static && d.Lifting == model.LiftSymmetric:
+		return dynamic.NewStatic(graph.BidirectionalRing(n))
+	case s.Static && d.Lifting == model.LiftCovering:
+		return dynamic.NewStatic(graph.Ring(n).AssignPorts())
+	case s.Static:
+		return dynamic.NewStatic(graph.Ring(n))
+	case d.Lifting == model.LiftSymmetric, s.Kind == model.OneBitBroadcast:
+		// The alternating one-bit flood has period 2 and can resonate with
+		// a period-2 schedule like SplitRing (one flood never crosses the
+		// bridge rounds); verify it on schedules connected every round.
+		return &dynamic.RandomConnected{Vertices: n, ExtraEdges: 1, Seed: seed}
+	default:
+		return &dynamic.SplitRing{Vertices: n}
+	}
 }
 
 // StaticCell returns Table 1's entry for the given model and help row:

@@ -144,22 +144,8 @@ func RingImpossibilityWitness(factory model.Factory, kind model.Kind,
 		if desc.Lifting == model.LiftCovering {
 			g = g.AssignPorts()
 		}
-		e, err := engine.New(engine.Config{
-			Schedule: dynamic.NewStatic(g),
-			Kind:     kind,
-			Inputs:   fibration.LiftValuation(fib, baseInputs),
-			Factory:  factory,
-			Seed:     seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		for t := 0; t < rounds; t++ {
-			if err := e.Step(); err != nil {
-				return nil, err
-			}
-		}
-		return e.Outputs(), nil
+		return outputsAfter(engine.Config{Schedule: dynamic.NewStatic(g), Kind: kind,
+			Inputs: fibration.LiftValuation(fib, baseInputs), Factory: factory, Seed: seed}, rounds)
 	}
 	outA, err := runOnRing(k1, seed)
 	if err != nil {
@@ -204,22 +190,8 @@ func BroadcastSetCeilingWitness(factory model.Factory, nu map[float64]int,
 		if err != nil {
 			return nil, err
 		}
-		e, err := engine.New(engine.Config{
-			Schedule: dynamic.NewStatic(fib.Total),
-			Kind:     model.SimpleBroadcast,
-			Inputs:   fibration.LiftValuation(fib, baseInputs),
-			Factory:  factory,
-			Seed:     seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		for t := 0; t < rounds; t++ {
-			if err := e.Step(); err != nil {
-				return nil, err
-			}
-		}
-		return e.Outputs(), nil
+		return outputsAfter(engine.Config{Schedule: dynamic.NewStatic(fib.Total), Kind: model.SimpleBroadcast,
+			Inputs: fibration.LiftValuation(fib, baseInputs), Factory: factory, Seed: seed}, rounds)
 	}
 	outA, err := run(zA, seed+1)
 	if err != nil {
@@ -235,6 +207,21 @@ func BroadcastSetCeilingWitness(factory model.Factory, nu map[float64]int,
 		OutputsB: outB,
 		Detail:   fmt.Sprintf("lifts of R_%d with fibre cardinalities %v vs %v, simple broadcast", p, zA, zB),
 	}, nil
+}
+
+// outputsAfter runs cfg for the given number of rounds and returns the
+// final outputs.
+func outputsAfter(cfg engine.Config, rounds int) ([]model.Value, error) {
+	e, err := engine.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for t := 0; t < rounds; t++ {
+		if err := e.Step(); err != nil {
+			return nil, err
+		}
+	}
+	return e.Outputs(), nil
 }
 
 // layOnRing lays the multiset ν around a ring, grouping equal values in

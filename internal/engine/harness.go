@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"math"
 
 	"anonnet/internal/model"
@@ -78,24 +77,12 @@ type CloseResult struct {
 // maxRounds — the Euclidean-metric computability criterion of §2.3 with the
 // limit known to the harness.
 func RunUntilClose(r Runner, target model.Value, met model.Metric, eps float64, maxRounds int) (*CloseResult, error) {
-	return RunUntilCloseCtx(context.Background(), r, target, met, eps, maxRounds, nil)
-}
-
-// RunUntilCloseCtx is RunUntilClose with cooperative cancellation and an
-// optional per-round observer; see RunUntilStableCtx.
-func RunUntilCloseCtx(ctx context.Context, r Runner, target model.Value, met model.Metric, eps float64, maxRounds int, obs Observer) (*CloseResult, error) {
 	var res CloseResult
 	for t := 1; t <= maxRounds; t++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("engine: run aborted after %d rounds: %w", r.Round(), err)
-		}
 		if err := r.Step(); err != nil {
 			return nil, err
 		}
 		res.Outputs = r.Outputs()
-		if obs != nil {
-			obs(r.Round(), res.Outputs)
-		}
 		res.MaxErr = maxDistance(res.Outputs, target, met)
 		res.Rounds = r.Round()
 		if res.MaxErr <= eps {
@@ -121,20 +108,11 @@ func maxDistance(outputs []model.Value, target model.Value, met model.Metric) fl
 }
 
 // RunRounds steps r exactly `rounds` times and returns the history of
-// output vectors, history[t] being the outputs after round t+1.
+// output vectors, history[t] being the outputs after round t+1. A failed
+// step returns the partial history with its error.
 func RunRounds(r Runner, rounds int) ([][]model.Value, error) {
-	return RunRoundsCtx(context.Background(), r, rounds)
-}
-
-// RunRoundsCtx is RunRounds with cooperative cancellation: the context is
-// checked between rounds, and an abort returns the partial history with
-// the context's error.
-func RunRoundsCtx(ctx context.Context, r Runner, rounds int) ([][]model.Value, error) {
 	history := make([][]model.Value, 0, rounds)
 	for t := 0; t < rounds; t++ {
-		if err := ctx.Err(); err != nil {
-			return history, fmt.Errorf("engine: run aborted after %d rounds: %w", r.Round(), err)
-		}
 		if err := r.Step(); err != nil {
 			return history, err
 		}

@@ -24,13 +24,13 @@ import (
 //   - core/tables.go transcribes the paper's Tables 1 and 2, which are
 //     indexed by model;
 //   - core/dispatch.go picks the algorithm realizing a cell (algorithms
-//     cannot register in model without an import cycle);
-//   - cmd/tables' verifyPositive picks the one-bit model's dynamic
-//     schedule, a property of the parity-flood algorithm, not the model.
+//     cannot register in model without an import cycle).
+//
+// core/tables.go also picks the one-bit model's Table 2 verification
+// schedule, a property of the parity-flood algorithm, not the model.
 var kindComparisonAllowed = map[string]string{
 	"internal/core/tables.go":   "*",
 	"internal/core/dispatch.go": "*",
-	"cmd/tables/main.go":        "verifyPositive",
 }
 
 func TestLayeringKindComparisons(t *testing.T) {
