@@ -255,10 +255,10 @@ var (
 
 // Engines.
 var (
-	// NewEngine returns the deterministic sequential round engine.
+	// NewEngine returns the generic round engine on one inline slab.
 	NewEngine = engine.New
-	// NewShardedEngine returns the sharded batch engine (shards ≤ 0 means
-	// one per core).
+	// NewShardedEngine returns the generic engine on the given number of
+	// slab workers (shards ≤ 0 means one per core); Close stops them.
 	NewShardedEngine = engine.NewSharded
 	// NewParallelVecEngine returns the zero-allocation vectorized kernel
 	// for linear mass-passing algorithms, with the given worker count (1
@@ -324,20 +324,23 @@ func MarkLeaders(in []Input, leaders ...int) []Input {
 // EngineKind selects one of the round engines behind Compute.
 type EngineKind int
 
-// The engines. All produce identical traces for equal inputs (the
-// A2 property tests assert it); they differ only in how the rounds are
-// scheduled onto the hardware.
+// The engines: two executors — the generic runner and the vectorized
+// kernel — each over k contiguous agent slabs. All produce identical
+// traces for equal inputs (the A2 property tests assert it); they differ
+// only in how the rounds are scheduled onto the hardware.
 const (
-	// Sequential is the deterministic single-threaded engine (default).
+	// Sequential is the generic runner on one slab, run inline on the
+	// calling goroutine (default).
 	Sequential EngineKind = iota
-	// Sharded partitions agents across cores and delivers messages
-	// through preallocated shard-to-shard buffers; the fastest engine for
-	// large n.
+	// Sharded is the generic runner on one slab per core (or
+	// WithParallelism slabs), each on a persistent worker; the fastest
+	// engine for large n.
 	Sharded
 	// Vectorized executes linear mass-passing algorithms over flat
-	// float64 buffers with zero steady-state allocations; algorithms that
-	// do not implement the vector contract fall back to the sequential
-	// engine, whose traces the kernel reproduces byte for byte.
+	// float64 buffers with zero steady-state allocations, on one inline
+	// slab (or WithParallelism slab workers); algorithms that do not
+	// implement the vector contract fall back to Sequential, whose traces
+	// the kernel reproduces byte for byte.
 	Vectorized
 )
 
@@ -429,12 +432,11 @@ func WithModel(k Kind) Option {
 	return func(c *computeConfig) { c.model = k }
 }
 
-// WithParallelism sets the engine's degree of parallelism (default: one
-// worker per core for the sharded engine, one inline worker for the
-// vectorized one). With WithEngine(Sharded) it is the shard count; with
-// WithEngine(Vectorized) it is the kernel's worker count. The trace is
-// independent of k on every engine. It has no effect on the Sequential
-// engine.
+// WithParallelism sets the engine's degree of parallelism: the number of
+// agent slabs, each run by its own worker (default: one per core for the
+// sharded engine, one inline slab for the vectorized one). Counts above
+// the agent count are clamped to it. The trace is independent of k on
+// every engine. It has no effect on the Sequential engine.
 func WithParallelism(k int) Option {
 	return func(c *computeConfig) { c.parallelism = k }
 }

@@ -1,8 +1,8 @@
 package engine_test
 
-// Cancellation coverage: a context cancelled while the sharded engine is
-// mid-round (inside a receive-phase shard goroutine) aborts the harness
-// loop at the next round boundary and leaks no goroutines, and
+// Cancellation coverage: a context cancelled while a multi-slab engine is
+// mid-round (inside a receive-phase slab worker) aborts the harness loop
+// at the next round boundary and leaks no goroutines, and
 // RunUntilStableCtx surfaces the context error.
 
 import (
@@ -75,9 +75,8 @@ func TestShardedCancelMidRoundNoGoroutineLeak(t *testing.T) {
 	}
 	shd.Close()
 
-	// The sharded engine joins its phase goroutines on a barrier every
-	// phase, so after Close the goroutine count must return to the
-	// baseline. Poll: the runtime reclaims exited goroutines lazily.
+	// Close stops the slab workers, so the goroutine count must return to
+	// the baseline. Poll: the runtime reclaims exited goroutines lazily.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		if g := runtime.NumGoroutine(); g <= before {

@@ -43,7 +43,7 @@ func ckptCases() []ckptCase {
 func ckptConfig(t *testing.T, cc ckptCase) engine.Config {
 	t.Helper()
 	const n, seed = 7, 23
-	var tc algoCase
+	var tc workload
 	found := false
 	for _, c := range algoCases() {
 		if c.name == cc.algo {
@@ -58,7 +58,7 @@ func ckptConfig(t *testing.T, cc ckptCase) engine.Config {
 		Schedule: tc.schedule(n, 11),
 		Kind:     tc.kind,
 		Inputs:   caseInputs(n),
-		Factory:  tc.factory(t),
+		Factory:  tc.factory(t, n),
 		Seed:     seed,
 	}
 	if cc.plan != nil {
@@ -76,24 +76,12 @@ func ckptConfig(t *testing.T, cc ckptCase) engine.Config {
 	return cfg
 }
 
-// ckptRunners enumerates the engines for a config builder: both generic
-// runners, the retired "conc" name (which legacy specs still spell and
-// which runs the sequential engine), and the vector kernel inline and on
-// three workers.
-func ckptRunners() []struct {
-	name string
-	mk   func(cfg engine.Config) (engine.Runner, error)
-} {
-	return []struct {
-		name string
-		mk   func(cfg engine.Config) (engine.Runner, error)
-	}{
-		{"seq", func(cfg engine.Config) (engine.Runner, error) { return engine.New(cfg) }},
-		{"conc", func(cfg engine.Config) (engine.Runner, error) { return engine.NewRunner(cfg, "conc", 0) }},
-		{"shard3", func(cfg engine.Config) (engine.Runner, error) { return engine.NewSharded(cfg, 3) }},
-		{"vec", func(cfg engine.Config) (engine.Runner, error) { return engine.NewParallelVec(cfg, 1) }},
-		{"parvec3", func(cfg engine.Config) (engine.Runner, error) { return engine.NewParallelVec(cfg, 3) }},
-	}
+// ckptRunners enumerates the engines: the generic engine on one and on
+// three slabs, the retired "conc" name (which legacy specs still spell
+// and which runs the one-slab engine), and the vector kernel inline and
+// on three workers.
+func ckptRunners() []runnerRow {
+	return runnersNamed(7, "seq", "conc", "shard3", "vec", "parvec3")
 }
 
 func traceLine(r engine.Runner) string {
@@ -210,9 +198,9 @@ func TestCheckpointResumeTraceEquality(t *testing.T) {
 // trace hash.
 func TestCheckpointGenericCrossResume(t *testing.T) {
 	const rounds, k = 12, 5
-	mk := map[string]func(engine.Config) (engine.Runner, error){
-		"seq":    func(cfg engine.Config) (engine.Runner, error) { return engine.New(cfg) },
-		"shard3": func(cfg engine.Config) (engine.Runner, error) { return engine.NewSharded(cfg, 3) },
+	mk := map[string]func(engine.Config) (engine.Runner, error){}
+	for _, row := range runnersNamed(7, "seq", "shard3") {
+		mk[row.name] = row.mk
 	}
 	for _, cc := range ckptCases() {
 		for _, dir := range []struct{ from, to string }{{"seq", "shard3"}, {"shard3", "seq"}} {
@@ -408,7 +396,7 @@ func TestCanCheckpoint(t *testing.T) {
 				Schedule: tc.schedule(7, 11),
 				Kind:     tc.kind,
 				Inputs:   caseInputs(7),
-				Factory:  tc.factory(t),
+				Factory:  tc.factory(t, 7),
 				Seed:     23,
 			}
 			r, err := engine.New(cfg)

@@ -172,18 +172,9 @@ func TestConformanceTraceEquality(t *testing.T) {
 					Seed:     23,
 				}
 			}
-			runners := []struct {
-				name string
-				mk   func() (engine.Runner, error)
-			}{
-				{"seq", func() (engine.Runner, error) { return engine.New(cfg()) }},
-				{"shard3", func() (engine.Runner, error) { return engine.NewSharded(cfg(), 3) }},
-				{"vec", func() (engine.Runner, error) { return engine.NewParallelVec(cfg(), 1) }},
-				{"parvec3", func() (engine.Runner, error) { return engine.NewParallelVec(cfg(), 3) }},
-			}
 			var want string
-			for _, rn := range runners {
-				r, err := rn.mk()
+			for _, rn := range runnersNamed(n, "seq", "shard3", "vec", "parvec3") {
+				r, err := rn.mk(cfg())
 				if errors.Is(err, engine.ErrNotVectorizable) {
 					if d.VecSend == nil {
 						continue // model has no vector form; fallback contract covered elsewhere

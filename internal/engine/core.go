@@ -13,11 +13,11 @@ import (
 
 // This file is the shared round pipeline under the runners: one core
 // holds the configuration, the agents, the topology provider, the fault
-// machinery, and the reused message buffers, and drives every round
-// through the same stage sequence — restart, snapshot, send, exchange
-// (deliver + fates + pending + shuffle), receive. The runners differ only
-// in how they execute the stages (loop over agents, shard barrier, SoA
-// kernel), which they express by implementing the executor
+// machinery, the reused message buffers and the slab pool, and drives
+// every round through the same stage sequence — restart, snapshot, send,
+// deliver, order (counters + shuffle), receive. The two executors (the
+// generic runner and the vector kernel) differ only in what a stage does
+// to one slab of agents, which they express by implementing the executor
 // interface; the core is the only engine file that touches graph,
 // dynamic, or faults machinery, so cross-cutting features are wired once
 // (layering_test.go enforces the graph and dynamic half of that rule).
@@ -87,35 +87,35 @@ func (c *Config) validate() error {
 }
 
 // executor is the contract a runner implements to plug into the shared
-// round pipeline. The core calls the stages in order for round t, handing
-// each the validated topology snapshot; an error from any stage aborts the
-// round before the round counter advances. exchange covers delivery, fault
-// fates, pending flushes, and the seeded multiset shuffle in one stage
-// because the vectorized kernel fuses them per destination.
+// round pipeline. For round t the core calls restart, then fans runSlab
+// out over the slab pool for the send and deliver phases, sums the slabs'
+// counters, calls order, and fans runSlab out for the receive phase; an
+// error from any stage aborts the round before the round counter
+// advances.
 type executor interface {
 	// restart applies the crash-restart fault channel before the round.
 	restart(t int) error
-	// send drives the sending functions of the active agents into the
-	// core's (or the executor's own) sent buffers.
-	send(t int, snap *topology.Snapshot) error
-	// exchange routes the sent messages into per-destination multisets:
-	// fault fates, due delayed deliveries, message accounting, and the
-	// seeded shuffle that erases any delivery order.
-	exchange(t int, snap *topology.Snapshot) error
-	// receive applies the transition functions of the active agents.
-	receive(t int, snap *topology.Snapshot) error
+	// runSlab runs one slab-parallel phase over the agents of s. Delivery
+	// (phaseDeliver) applies fault fates and due delayed deliveries to the
+	// slab's destinations, counting into s.
+	runSlab(s *slab, req phaseReq) error
+	// order is the serial pass between delivery and receive: the seeded
+	// shuffle that erases any delivery order, whose RNG draw sequence is
+	// part of the trace contract.
+	order(t int, snap *topology.Snapshot) error
 }
 
 // core is the engine-independent half of a runner: configuration, agents,
 // topology provider, fault state, RNG, statistics, and the reused
-// per-round buffers. Each runner embeds a *core and implements executor;
-// the shared Runner surface (N, Round, Outputs, Stats, Corrupt, Close) is
-// promoted from here.
+// per-round buffers, and the slab pool. Each runner embeds a *core and
+// implements executor; the shared Runner surface (N, Round, Outputs,
+// Stats, Corrupt, Close) is promoted from here.
 type core struct {
 	cfg    Config
 	name   string // runner name, for error messages
 	desc   *model.Descriptor
 	topo   *topology.Provider
+	pool   *slabPool
 	agents []model.Agent
 	round  int
 	rng    *rand.Rand
@@ -142,7 +142,8 @@ type core struct {
 
 // newCore validates cfg, instantiates the agents, and assembles the shared
 // state, including the topology provider over the (possibly async-start
-// wrapped) schedule.
+// wrapped) schedule. The runner starts the slab pool once its executor
+// exists.
 func newCore(cfg Config, name string) (*core, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -203,8 +204,9 @@ func newCore(cfg Config, name string) (*core, error) {
 }
 
 // step executes one round through the shared pipeline: restart, activity
-// mask + snapshot, then the executor's send, exchange, and receive stages.
-// Every runner's Step is this method with itself as the executor.
+// mask + snapshot, then send and deliver over the slabs, the serial order
+// pass, and receive over the slabs. Every runner's Step is this method
+// with itself as the executor.
 func (c *core) step(ex executor) error {
 	if c.closed {
 		return fmt.Errorf("engine: Step on closed %s engine", c.name)
@@ -217,13 +219,17 @@ func (c *core) step(ex executor) error {
 	if err != nil {
 		return err
 	}
-	if err := ex.send(t, snap); err != nil {
+	if err := c.pool.barrier(phaseReq{phase: phaseSend, t: t, snap: snap}); err != nil {
 		return err
 	}
-	if err := ex.exchange(t, snap); err != nil {
+	if err := c.pool.barrier(phaseReq{phase: phaseDeliver, t: t, snap: snap}); err != nil {
 		return err
 	}
-	if err := ex.receive(t, snap); err != nil {
+	c.pool.collect(c)
+	if err := ex.order(t, snap); err != nil {
+		return err
+	}
+	if err := c.pool.barrier(phaseReq{phase: phaseReceive, t: t, snap: snap}); err != nil {
 		return err
 	}
 	c.round = t
@@ -277,10 +283,9 @@ func (c *core) sendRange(snap *topology.Snapshot, lo, hi int) error {
 // fill order is the delivery-order invariant: sources ascending, edges in
 // insertion order, then pending deliveries — identical across all
 // runners, which is what keeps the traces byte-identical. Each
-// destination is owned by exactly one caller (one shard, or the single
-// engine goroutine), so the pending store's per-destination queues need
-// no locking; fs receives the fault counts (per-shard in the sharded
-// runner, summed after its barrier).
+// destination is owned by exactly one slab, so the pending store's
+// per-destination queues need no locking; fs receives the slab's fault
+// counts, summed after the barrier.
 func (c *core) deliverRange(snap *topology.Snapshot, t, lo, hi int, fs *FaultStats) (int64, error) {
 	inj := c.cfg.Faults
 	var delivered int64
@@ -339,6 +344,10 @@ func (c *core) receiveRange(lo, hi int) {
 // N returns the number of agents.
 func (c *core) N() int { return len(c.agents) }
 
+// Workers returns the effective slab count: the requested one clamped to
+// [1, n].
+func (c *core) Workers() int { return len(c.pool.slabs) }
+
 // Round returns the number of completed rounds.
 func (c *core) Round() int { return c.round }
 
@@ -384,10 +393,14 @@ func (c *core) Corrupt(junk int64) int {
 	return count
 }
 
-// Close marks the runner closed; Step after Close fails. Runners with
-// resources to release (worker goroutines) override it.
+// Close stops the slab workers, if any, and marks the runner closed; Step
+// after Close fails. It is idempotent.
 func (c *core) Close() {
+	if c.closed {
+		return
+	}
 	c.closed = true
+	c.pool.close()
 }
 
 // shuffleMessages randomizes delivery order so agents cannot rely on any
@@ -397,8 +410,8 @@ func shuffleMessages(msgs []model.Message, rng *rand.Rand) {
 }
 
 // NewRunner constructs the named runner over cfg: "seq" (or "") for the
-// sequential engine, "shard" for the sharded one with the given shard
-// count, and "vec" for the vectorized kernel with shards workers (≤ 0
+// one-slab generic engine, "shard" for the generic engine with the given
+// slab count, and "vec" for the vectorized kernel with shards workers (≤ 0
 // means one, run inline on the calling goroutine) — with silent fallback
 // to the sequential engine when the workload is not vectorizable (the
 // traces are identical either way). Names resolve through the engine-name

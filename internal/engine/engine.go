@@ -3,18 +3,22 @@
 // sending function, the communication graph 𝔾(t) routes the messages, and
 // every agent applies its transition function to the received multiset.
 //
-// Two executor families implement the semantics. Generic agents run on
-// the deterministic sequential engine — the reference — or on the sharded
-// batch engine, which partitions the agents across cores. Linear
-// mass-passing algorithms (model.VectorAgent) run on the vectorized kernel
-// (ParallelVec), which executes rounds over flat float64 buffers with zero
-// steady-state allocations, inline with one worker or split over several.
-// All three are thin executors over one shared round core (core.go) and
-// one topology substrate (internal/topology); property tests assert they
-// produce identical traces for deterministic agents.
+// Two executors implement the semantics. Generic agents run on Engine;
+// linear mass-passing algorithms (model.VectorAgent) can also run on the
+// vectorized kernel (ParallelVec), which executes rounds over flat float64
+// buffers with zero steady-state allocations. Both are thin executors over
+// one shared round core (core.go), one topology substrate
+// (internal/topology) and one slab pool (pool.go): the agents are cut
+// into k contiguous slabs, run inline on the calling goroutine when k = 1
+// ("seq", and "vec" by default) and on persistent workers otherwise
+// ("shard", "vec" with more workers). Property tests assert that every
+// executor and slab count produces the same trace for deterministic
+// agents.
 package engine
 
 import (
+	"runtime"
+
 	"anonnet/internal/model"
 	"anonnet/internal/topology"
 )
@@ -35,8 +39,7 @@ type Runner interface {
 	Corrupt(junk int64) int
 	// Stats returns cumulative execution statistics.
 	Stats() Stats
-	// Close releases resources (the worker goroutines of a parallel
-	// vectorized engine).
+	// Close releases resources (the slab workers of a multi-slab runner).
 	Close()
 }
 
@@ -53,49 +56,72 @@ type Stats struct {
 	Faults FaultStats
 }
 
-// Engine is the deterministic sequential runner: every pipeline stage is a
-// plain loop over the agents on the calling goroutine. It is the reference
-// executor the others are property-tested against.
+// Engine is the generic runner: it executes any model.Agent over k
+// contiguous agent slabs. With one slab (New) every stage is a plain loop
+// over the agents on the calling goroutine — the reference executor the
+// vector kernel is property-tested against. With more (NewSharded) each
+// slab has a persistent worker: send and receive run slab-parallel, and
+// delivery runs destination-major over the shared topology snapshot, each
+// destination owned by exactly one slab, so slabs fill their own agents'
+// inboxes from the sent buffers without locks. The seeded shuffle stays
+// one serial pass in agent-index order, so the trace does not depend on
+// the slab count.
+//
+// Inbox slices handed to Agent.Receive are owned by the engine and reused
+// in later rounds; agents must copy anything they retain (the model
+// contract only promises the slice for the duration of Receive).
 type Engine struct {
 	*core
 }
 
 var _ Runner = (*Engine)(nil)
 
-// New validates cfg, instantiates the agents, and returns a sequential
-// engine positioned before round 1.
-func New(cfg Config) (*Engine, error) {
-	c, err := newCore(cfg, "sequential")
+// New validates cfg, instantiates the agents, and returns a one-slab
+// generic engine positioned before round 1. It starts no goroutines.
+func New(cfg Config) (*Engine, error) { return newEngine(cfg, 1) }
+
+// NewSharded is New with the agents cut into the given number of slabs,
+// one worker goroutine each (≤ 0 selects runtime.GOMAXPROCS(0); counts
+// above the agent count are clamped to it). Slab counts need not divide
+// the agent count. Callers must Close the engine to stop the workers.
+func NewSharded(cfg Config, shards int) (*Engine, error) {
+	if shards <= 0 {
+		shards = runtime.GOMAXPROCS(0)
+	}
+	return newEngine(cfg, shards)
+}
+
+func newEngine(cfg Config, slabs int) (*Engine, error) {
+	c, err := newCore(cfg, "generic")
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{core: c}, nil
+	e := &Engine{core: c}
+	c.pool = newSlabPool(c.N(), slabs, e.runSlab)
+	return e, nil
 }
 
 // Step executes one round: restart, send, route (with fault fates),
 // shuffle, receive.
 func (e *Engine) Step() error { return e.step(e) }
 
-// Close is a no-op for the sequential engine.
-func (e *Engine) Close() {}
-
 func (e *Engine) restart(t int) error { return e.restartAll(t) }
 
-func (e *Engine) send(t int, snap *topology.Snapshot) error {
-	return e.sendRange(snap, 0, e.N())
-}
-
-func (e *Engine) exchange(t int, snap *topology.Snapshot) error {
-	delivered, err := e.deliverRange(snap, t, 0, e.N(), &e.faults)
-	if err != nil {
+func (e *Engine) runSlab(s *slab, req phaseReq) error {
+	switch req.phase {
+	case phaseSend:
+		return e.sendRange(req.snap, s.lo, s.hi)
+	case phaseDeliver:
+		delivered, err := e.deliverRange(req.snap, req.t, s.lo, s.hi, &s.faults)
+		s.messages += delivered
 		return err
+	default: // phaseReceive
+		e.receiveRange(s.lo, s.hi)
+		return nil
 	}
-	e.messages += delivered
-	e.shuffleAll()
-	return nil
 }
 
-func (e *Engine) receive(t int, snap *topology.Snapshot) error {
-	e.receiveRange(0, e.N())
+func (e *Engine) order(t int, snap *topology.Snapshot) error {
+	e.shuffleAll()
 	return nil
 }

@@ -65,7 +65,7 @@ func goldenCases() []goldenCase {
 func goldenConfig(t *testing.T, gc goldenCase) engine.Config {
 	t.Helper()
 	const n, seed = 7, 23
-	var tc algoCase
+	var tc workload
 	found := false
 	for _, c := range algoCases() {
 		if c.name == gc.algo {
@@ -80,7 +80,7 @@ func goldenConfig(t *testing.T, gc goldenCase) engine.Config {
 		Schedule: tc.schedule(n, 11),
 		Kind:     tc.kind,
 		Inputs:   caseInputs(n),
-		Factory:  tc.factory(t),
+		Factory:  tc.factory(t, n),
 		Seed:     seed,
 		Starts:   gc.starts,
 	}
@@ -166,29 +166,8 @@ func TestGoldenTraces(t *testing.T) {
 	for _, gc := range goldenCases() {
 		t.Run(gc.name, func(t *testing.T) {
 			rounds := goldenRounds(t, gc.algo)
-			runners := []struct {
-				name string
-				mk   func() (engine.Runner, error)
-			}{
-				{"seq", func() (engine.Runner, error) { return engine.New(goldenConfig(t, gc)) }},
-				{"shard3", func() (engine.Runner, error) { return engine.NewSharded(goldenConfig(t, gc), 3) }},
-				{"vec", func() (engine.Runner, error) {
-					r, err := engine.NewParallelVec(goldenConfig(t, gc), 1)
-					if errors.Is(err, engine.ErrNotVectorizable) {
-						return nil, err // skipped below
-					}
-					return r, err
-				}},
-				{"parvec3", func() (engine.Runner, error) {
-					r, err := engine.NewParallelVec(goldenConfig(t, gc), 3)
-					if errors.Is(err, engine.ErrNotVectorizable) {
-						return nil, err // skipped below
-					}
-					return r, err
-				}},
-			}
-			for _, rn := range runners {
-				r, err := rn.mk()
+			for _, rn := range runnersNamed(7, "seq", "shard3", "vec", "parvec3") {
+				r, err := rn.mk(goldenConfig(t, gc))
 				if errors.Is(err, engine.ErrNotVectorizable) {
 					continue
 				}

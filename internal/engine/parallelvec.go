@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"anonnet/internal/model"
 	"anonnet/internal/topology"
@@ -17,14 +16,12 @@ import (
 // snapshot's destination-major layout. No message is ever boxed into an
 // interface.
 //
-// The agent range is partitioned into contiguous slabs, one per worker,
-// and every stage of the round — send, gather, accumulate, receive — runs
-// slab-parallel over the shared buffers and the immutable snapshot. With
-// one worker the phases run inline on the calling goroutine; with more,
-// each slab has a persistent worker goroutine, and since workers never
-// touch each other's destinations the only synchronization is the channel
-// barrier between phases. Either way the steady-state round loop performs
-// zero heap allocations (asserted by tests and the CI allocation gate).
+// The agent range runs on the core's slab pool, and every stage of the
+// round — send, gather, accumulate, receive — runs slab-parallel over the
+// shared buffers and the immutable snapshot: inline on the calling
+// goroutine with one worker, on persistent slab workers with more. Either
+// way the steady-state round loop performs zero heap allocations
+// (asserted by tests and the CI allocation gate).
 //
 // The trace contract is the hard part. The seeded Fisher–Yates shuffle
 // consumes the shared RNG with rejection sampling, so the number of draws
@@ -46,71 +43,45 @@ type ParallelVec struct {
 	width    int
 	universe []float64
 
-	// Flat SoA state, shared across workers: agent i's outgoing message
+	// Flat SoA state, shared across slabs: agent i's outgoing message
 	// occupies rows[i·w : (i+1)·w]; destination j's sum accumulates in
 	// sums[j·w : (j+1)·w]; counts[j] is destination j's multiset size.
-	// Each index is written by exactly one worker per phase.
+	// Each index is written by exactly one slab per phase.
 	rows   []float64
 	sums   []float64
 	counts []int32
 
-	workers int
-	shard   []pvShard
+	gathers []vecGather
 
 	// swaps holds the recorded Fisher–Yates swap targets of the current
 	// round, destination-major in agent-index order; swapBase[k] is the
-	// offset where worker k's slab begins. Written by the engine goroutine
-	// between the gather and accumulate barriers, read by the workers.
+	// offset where slab k begins. Written by the engine goroutine between
+	// the gather and accumulate barriers, read by the slabs.
 	swaps    []int32
 	swapBase []int32
 
 	vpend *vecPending
-
-	// reqs and done are the worker barrier; both are nil with one worker,
-	// whose phases run inline.
-	reqs []chan pvReq
-	done chan struct{}
-	wg   sync.WaitGroup
 }
 
 var _ Runner = (*ParallelVec)(nil)
 
-// pvShard is one worker's slab-local state. refs accumulates the
-// contribution lists of the slab's destinations back to back (refStart
-// delimits them), late the delayed rows flushed for the whole round —
-// gather and accumulate are separate phases, so both must survive the
-// barrier between them.
-type pvShard struct {
+// vecGather is one slab's gather state. refs accumulates the contribution
+// lists of the slab's destinations back to back (refStart delimits them),
+// late the delayed rows flushed for the whole round — gather and
+// accumulate are separate phases, so both must survive the barrier
+// between them.
+type vecGather struct {
 	refs     []int32
 	refStart []int32 // hi-lo+1 entries, offsets into refs
 	late     []float64
-	faults   FaultStats
-	messages int64
-	err      error
-}
-
-type pvPhase int
-
-const (
-	pvSend pvPhase = iota + 1
-	pvGather
-	pvAccum
-	pvReceive
-	pvStop
-)
-
-type pvReq struct {
-	phase pvPhase
-	t     int
-	snap  *topology.Snapshot
 }
 
 // NewParallelVec validates cfg, instantiates the agents through the
 // model.VectorAgent contract, and returns a vectorized engine with the
 // given worker count (≤ 0 selects runtime.GOMAXPROCS(0)), positioned
 // before round 1. Worker counts need not divide the agent count; counts
-// above it leave some workers idle. One worker starts no goroutines; with
-// more, callers must Close the engine to stop them. It returns an error
+// above it are clamped to it. One worker starts no goroutines; with more,
+// callers must Close the engine to stop them. It returns an error
 // wrapping ErrNotVectorizable when the algorithm cannot run on the vector
 // kernel.
 func NewParallelVec(cfg Config, workers int) (*ParallelVec, error) {
@@ -155,31 +126,18 @@ func NewParallelVec(cfg Config, workers int) (*ParallelVec, error) {
 		rows:     make([]float64, n*width),
 		sums:     make([]float64, n*width),
 		counts:   make([]int32, n),
-		workers:  workers,
-		shard:    make([]pvShard, workers),
-		swapBase: make([]int32, workers),
 	}
 	if cfg.Faults != nil {
 		p.vpend = newVecPending(n, width)
 	}
-	if workers > 1 {
-		p.reqs = make([]chan pvReq, workers)
-		p.done = make(chan struct{}, workers)
-	}
-	for k := range p.shard {
-		lo, hi := shardRange(n, workers, k)
-		p.shard[k].refStart = make([]int32, hi-lo+1)
-		if p.reqs != nil {
-			p.reqs[k] = make(chan pvReq, 1)
-			p.wg.Add(1)
-			go p.worker(k, lo, hi)
-		}
+	core.pool = newSlabPool(n, workers, p.runSlab)
+	p.gathers = make([]vecGather, len(core.pool.slabs))
+	p.swapBase = make([]int32, len(core.pool.slabs))
+	for k, s := range core.pool.slabs {
+		p.gathers[k].refStart = make([]int32, s.hi-s.lo+1)
 	}
 	return p, nil
 }
-
-// Workers returns the worker count.
-func (p *ParallelVec) Workers() int { return p.workers }
 
 // Width returns the per-message vector width, for white-box tests.
 func (p *ParallelVec) Width() int { return p.width }
@@ -188,103 +146,61 @@ func (p *ParallelVec) Width() int { return p.width }
 // Engine.Step.
 func (p *ParallelVec) Step() error { return p.step(p) }
 
-// worker owns agents [lo, hi): it blocks on its request channel, runs the
-// requested phase over its slab, and signals the barrier. Panics in agent
-// code are recovered into the shard's error slot.
-func (p *ParallelVec) worker(k, lo, hi int) {
-	defer p.wg.Done()
-	for req := range p.reqs[k] {
-		if req.phase == pvStop {
-			p.done <- struct{}{}
-			return
-		}
-		p.runPhase(k, lo, hi, req)
-		p.done <- struct{}{}
-	}
-}
-
-func (p *ParallelVec) runPhase(k, lo, hi int, req pvReq) {
-	defer func() {
-		if r := recover(); r != nil && p.shard[k].err == nil {
-			p.shard[k].err = fmt.Errorf("engine: panic in parallel vec worker %d (agents %d..%d): %v", k, lo, hi-1, r)
-		}
-	}()
-	w := p.width
+func (p *ParallelVec) runSlab(s *slab, req phaseReq) error {
+	w, lo, hi := p.width, s.lo, s.hi
 	switch req.phase {
-	case pvSend:
+	case phaseSend:
 		for i := lo; i < hi; i++ {
 			if p.active[i] {
 				p.desc.VecSend(p.vecs[i], req.snap.OutDegree(i), p.rows[i*w:(i+1)*w:(i+1)*w])
 			}
 		}
-	case pvGather:
-		sh := &p.shard[k]
-		sh.refs = sh.refs[:0]
-		sh.late = sh.late[:0]
+	case phaseDeliver:
+		g := &p.gathers[s.k]
+		g.refs = g.refs[:0]
+		g.late = g.late[:0]
 		view := req.snap.DstRange(lo, hi)
 		for j := lo; j < hi; j++ {
-			sh.refStart[j-lo] = int32(len(sh.refs))
-			sh.refs = gatherDest(p.core, view, req.t, j, w, p.rows, p.vpend, sh.refs, &sh.late, &sh.faults)
-			count := int32(len(sh.refs)) - sh.refStart[j-lo]
+			g.refStart[j-lo] = int32(len(g.refs))
+			g.refs = gatherDest(p.core, view, req.t, j, w, p.rows, p.vpend, g.refs, &g.late, &s.faults)
+			count := int32(len(g.refs)) - g.refStart[j-lo]
 			p.counts[j] = count
 			if p.active[j] {
-				sh.messages += int64(count)
+				s.messages += int64(count)
 			}
 			sum := p.sums[j*w : (j+1)*w]
 			for c := range sum {
 				sum[c] = 0
 			}
 		}
-		sh.refStart[hi-lo] = int32(len(sh.refs))
-	case pvAccum:
-		sh := &p.shard[k]
-		pos := p.swapBase[k]
+		g.refStart[hi-lo] = int32(len(g.refs))
+	case phaseAccum:
+		g := &p.gathers[s.k]
+		pos := p.swapBase[s.k]
 		for j := lo; j < hi; j++ {
 			if !p.active[j] {
 				continue
 			}
-			refs := sh.refs[sh.refStart[j-lo]:sh.refStart[j-lo+1]]
+			refs := g.refs[g.refStart[j-lo]:g.refStart[j-lo+1]]
 			if len(refs) > 1 {
 				applySwaps(refs, p.swaps[pos:])
 				pos += int32(len(refs) - 1)
 			}
-			accumulateRows(p.sums[j*w:(j+1)*w], refs, w, p.rows, sh.late)
+			accumulateRows(p.sums[j*w:(j+1)*w], refs, w, p.rows, g.late)
 		}
-	case pvReceive:
+	case phaseReceive:
 		for j := lo; j < hi; j++ {
 			if p.active[j] {
 				p.vecs[j].ReceiveVector(p.sums[j*w:(j+1)*w], int(p.counts[j]))
 			}
 		}
 	}
-}
-
-// barrier runs req over every slab — inline with one worker, otherwise by
-// dispatching it to every worker and waiting for all of them — and
-// returns (clearing) the first shard error.
-func (p *ParallelVec) barrier(req pvReq) error {
-	if p.reqs == nil {
-		p.runPhase(0, 0, p.N(), req)
-	}
-	for k := range p.reqs {
-		p.reqs[k] <- req
-	}
-	for range p.reqs {
-		<-p.done
-	}
-	var err error
-	for k := range p.shard {
-		if err == nil && p.shard[k].err != nil {
-			err = p.shard[k].err
-		}
-		p.shard[k].err = nil
-	}
-	return err
+	return nil
 }
 
 // restart applies the crash-restart channel on the engine goroutine (the
-// workers are quiescent between rounds). Rebuilt agents re-enter through
-// model.VectorAgent so their width commitment stays intact.
+// slab workers are quiescent between rounds). Rebuilt agents re-enter
+// through model.VectorAgent so their width commitment stays intact.
 func (p *ParallelVec) restart(t int) error {
 	inj := p.cfg.Faults
 	if inj == nil {
@@ -310,27 +226,18 @@ func (p *ParallelVec) restart(t int) error {
 	return nil
 }
 
-// send fans the sending functions out over the worker slabs.
-func (p *ParallelVec) send(t int, snap *topology.Snapshot) error {
-	return p.barrier(pvReq{phase: pvSend, t: t, snap: snap})
-}
-
-// exchange is gather (parallel) → draw recording (serial) → swap replay +
-// accumulate (parallel). The serial middle pass is the shuffle split
-// described on the type: it performs, on the shared RNG, exactly the
-// bounded draws the sequential engine's per-destination rand.Shuffle
-// performs — destinations in agent-index order, active only, sizes from
-// the gathered counts — and records each draw's swap target so the
-// workers can apply the permutations without touching the RNG.
-func (p *ParallelVec) exchange(t int, snap *topology.Snapshot) error {
-	if err := p.barrier(pvReq{phase: pvGather, t: t, snap: snap}); err != nil {
-		return err
-	}
+// order is the serial middle of the exchange, between the gather and
+// the accumulate barriers: the shuffle split described on the type. It
+// performs, on the shared RNG, exactly the bounded draws the generic
+// engine's per-destination rand.Shuffle performs — destinations in
+// agent-index order, active only, sizes from the gathered counts — and
+// records each draw's swap target so the slabs can apply the
+// permutations without touching the RNG.
+func (p *ParallelVec) order(t int, snap *topology.Snapshot) error {
 	p.swaps = p.swaps[:0]
-	for k := 0; k < p.workers; k++ {
-		lo, hi := shardRange(p.N(), p.workers, k)
+	for k, s := range p.pool.slabs {
 		p.swapBase[k] = int32(len(p.swaps))
-		for j := lo; j < hi; j++ {
+		for j := s.lo; j < s.hi; j++ {
 			if !p.active[j] {
 				continue
 			}
@@ -338,17 +245,8 @@ func (p *ParallelVec) exchange(t int, snap *topology.Snapshot) error {
 				p.swaps = append(p.swaps, randInt31n(p.rng, int32(i+1)))
 			}
 		}
-		p.messages += p.shard[k].messages
-		p.faults.add(p.shard[k].faults)
-		p.shard[k].messages = 0
-		p.shard[k].faults = FaultStats{}
 	}
-	return p.barrier(pvReq{phase: pvAccum, t: t, snap: snap})
-}
-
-// receive applies the vector transition functions over the worker slabs.
-func (p *ParallelVec) receive(t int, snap *topology.Snapshot) error {
-	return p.barrier(pvReq{phase: pvReceive, t: t, snap: snap})
+	return p.pool.barrier(phaseReq{phase: phaseAccum, t: t, snap: snap})
 }
 
 // applySwaps replays a recorded Fisher–Yates permutation: swaps[s] is the
@@ -361,22 +259,4 @@ func applySwaps(refs, swaps []int32) {
 		s++
 		refs[i], refs[j] = refs[j], refs[i]
 	}
-}
-
-// Close stops the worker goroutines, if any. It is idempotent.
-func (p *ParallelVec) Close() {
-	if p.closed {
-		return
-	}
-	p.closed = true
-	for k := range p.reqs {
-		p.reqs[k] <- pvReq{phase: pvStop}
-	}
-	for range p.reqs {
-		<-p.done
-	}
-	for k := range p.reqs {
-		close(p.reqs[k])
-	}
-	p.wg.Wait()
 }

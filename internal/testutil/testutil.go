@@ -46,22 +46,7 @@ func RunStatic(t *testing.T, g *graph.Graph, kind model.Kind, inputs []model.Inp
 	if desc.Lifting == model.LiftCovering && !g.PortsValid() {
 		g = g.AssignPorts()
 	}
-	e, err := engine.New(engine.Config{
-		Schedule: dynamic.NewStatic(g),
-		Kind:     kind,
-		Inputs:   inputs,
-		Factory:  factory,
-		Seed:     seed,
-	})
-	if err != nil {
-		t.Fatalf("engine.New: %v", err)
-	}
-	for r := 0; r < rounds; r++ {
-		if err := e.Step(); err != nil {
-			t.Fatalf("round %d: %v", r+1, err)
-		}
-	}
-	return e
+	return RunSchedule(t, dynamic.NewStatic(g), kind, inputs, factory, rounds, seed)
 }
 
 // RunSchedule runs the factory on a dynamic schedule for the given number
