@@ -40,6 +40,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzSpecCodec -fuzztime=30s ./internal/job
 	$(GO) test -fuzz=FuzzStoreRecord -fuzztime=30s ./internal/store
 	$(GO) test -fuzz=FuzzNonFinalSegmentDamage -fuzztime=30s ./internal/store
+	$(GO) test -fuzz=FuzzIntegerKernel -fuzztime=30s ./internal/rational
 
 # The durability gate: checkpoint/resume trace equality on every engine
 # (± faults) plus the kill/restart service recovery drill.

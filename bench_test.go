@@ -469,6 +469,48 @@ func BenchmarkGossipSteadyRound(b *testing.B) {
 	}
 }
 
+// staticExactSpecs is the static-exact workload's cycle of Theorem 4.1
+// specs (minimum base, then the kernel of M for the fibre cardinalities),
+// with the default inputs 1..n. perfbench keeps its own copy; it is a
+// separate module.
+var staticExactSpecs = []struct {
+	name string
+	spec job.Spec
+}{
+	{"ring-od", job.Spec{Graph: job.GraphSpec{Builder: "ring", N: 12}, Kind: "od", Function: "average"}},
+	{"random-od", job.Spec{Graph: job.GraphSpec{Builder: "random", N: 12}, Kind: "od", Function: "average"}},
+	{"debruijn-op", job.Spec{Graph: job.GraphSpec{Builder: "debruijn", K: 2, D: 4}, Kind: "op", Function: "average"}},
+	{"bidiring-sym-size", job.Spec{Graph: job.GraphSpec{Builder: "bidiring", N: 12}, Kind: "sym", Row: "size", Function: "sum"}},
+	{"torus-od-leader", job.Spec{Graph: job.GraphSpec{Builder: "torus", Rows: 3, Cols: 4}, Kind: "od", Row: "leader", Leaders: []int{0}, Function: "sum"}},
+}
+
+// BenchmarkStaticExactJob times one static-exact job per op: compile the
+// spec and run it to output stability. Nearly all of the cost is agent
+// work (the minimum-base table and the kernel solve). The CI bench-smoke
+// job fails when any case reports more allocs/op than its gate.
+func BenchmarkStaticExactJob(b *testing.B) {
+	for _, tc := range staticExactSpecs {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			rounds := 0
+			for i := 0; i < b.N; i++ {
+				sp := tc.spec
+				sp.Seed = 1
+				c, err := job.Compile(sp)
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := job.Run(context.Background(), c, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rounds = res.Rounds
+			}
+			b.ReportMetric(float64(rounds), "rounds")
+		})
+	}
+}
+
 // BenchmarkServiceThroughput measures jobs/sec through the anonnetd worker
 // pool: "cold" submits b.N distinct computations (unique seeds, no cache
 // reuse possible); "cachehit" submits one computation b.N times, so all

@@ -20,6 +20,10 @@ type Agent struct {
 	f    funcs.Func
 	help model.Help
 	out  model.Value
+	// solved is the candidate the output was last computed from; the
+	// minbase agent returns the same pointer while its table is unchanged,
+	// so an unchanged candidate skips the solve.
+	solved *minbase.Base
 }
 
 // minbaseAgent is the slice of the minbase automaton the wrapper needs;
@@ -89,9 +93,10 @@ func (a *Agent) SendPorts(outdeg int) []model.Message { return a.mb.SendPorts(ou
 func (a *Agent) Receive(msgs []model.Message) {
 	a.mb.Receive(msgs)
 	base, ok := a.mb.CandidateBase()
-	if !ok {
+	if !ok || base == a.solved {
 		return
 	}
+	a.solved = base
 	ms, err := a.reconstruct(base)
 	if err != nil {
 		return
@@ -141,6 +146,7 @@ func (a *Agent) Output() model.Value { return a.out }
 func (a *Agent) Corrupt(junk int64) {
 	a.mb.Corrupt(junk)
 	a.out = float64(junk%97) + 0.25
+	a.solved = nil
 }
 
 // Minbase exposes the underlying automaton, for white-box tests.

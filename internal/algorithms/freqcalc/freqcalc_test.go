@@ -126,6 +126,43 @@ func TestSolveSymmetricDetectsImbalance(t *testing.T) {
 	}
 }
 
+// TestSolveSymmetricRejectsOverflow pins the int64 overflow check: a
+// 45-vertex path base with d_{i,i+1} = 1 and d_{i+1,i} = 3 has fibre
+// ratios z_{i+1} = 3·z_i, so z_44 = 3⁴⁴ > 2⁶³. Unchecked arithmetic
+// returned negative "cardinalities" here with a nil error.
+func TestSolveSymmetricRejectsOverflow(t *testing.T) {
+	const m = 45
+	b := &minbase.Base{
+		Values: make([]float64, m),
+		Leader: make([]bool, m),
+		Out:    make([]int, m),
+		D:      make([][]int, m),
+	}
+	for i := range b.D {
+		b.D[i] = make([]int, m)
+	}
+	for i := 0; i+1 < m; i++ {
+		b.D[i][i+1], b.D[i+1][i] = 1, 3
+	}
+	if z, err := SolveSymmetric(b); err == nil {
+		t.Fatalf("overflowing base accepted: z = %v", z)
+	}
+	// The first 40 vertices still fit: z_i = 3^i exactly.
+	sub := &minbase.Base{Values: b.Values[:40], Leader: b.Leader[:40], Out: b.Out[:40], D: make([][]int, 40)}
+	for i := range sub.D {
+		sub.D[i] = b.D[i][:40]
+	}
+	z, err := SolveSymmetric(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := 0, 1; i < 40; i, p = i+1, p*3 {
+		if z[i] != p {
+			t.Fatalf("z[%d] = %d, want 3^%d = %d", i, z[i], i, p)
+		}
+	}
+}
+
 // --- end-to-end Theorem 4.1 ---
 
 type workload struct {

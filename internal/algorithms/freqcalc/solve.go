@@ -13,6 +13,7 @@
 package freqcalc
 
 import (
+	"errors"
 	"fmt"
 
 	"anonnet/internal/algorithms/minbase"
@@ -22,24 +23,24 @@ import (
 
 // SolveOutdegree solves the linear system M z = 0 of §4.2 for the general
 // outdegree-aware case: M_{i,j} = d_{i,j} for i ≠ j and M_{i,i} = d_{i,i} −
-// b_i, by exact Gaussian elimination. The paper's Perron–Frobenius argument
-// shows ker M is one-dimensional and spanned by a positive vector when the
-// base is genuine; a kernel of any other shape marks the candidate as
-// spurious and is reported as an error.
+// b_i, by exact fraction-free Gaussian elimination on int64, with big.Rat
+// only when a step overflows (rational.IntegerKernel). The paper's
+// Perron–Frobenius argument shows ker M is one-dimensional and spanned by
+// a positive vector when the base is genuine; a kernel of any other shape
+// marks the candidate as spurious and is reported as an error.
 func SolveOutdegree(b *minbase.Base) ([]int, error) {
 	m := b.N()
 	grid := make([][]int, m)
+	cells := make([]int, m*m)
 	for i := 0; i < m; i++ {
-		grid[i] = make([]int, m)
-		for j := 0; j < m; j++ {
-			grid[i][j] = b.D[i][j]
-		}
+		grid[i] = cells[i*m : (i+1)*m]
+		copy(grid[i], b.D[i])
 		if b.Out[i] < 0 {
 			return nil, fmt.Errorf("freqcalc: base vertex %d has unknown outdegree", i)
 		}
 		grid[i][i] -= b.Out[i]
 	}
-	z, err := rational.FromInts(grid).IntegerKernelVector()
+	z, err := rational.IntegerKernel(grid)
 	if err != nil {
 		return nil, fmt.Errorf("freqcalc: outdegree system: %w", err)
 	}
@@ -69,7 +70,8 @@ func SolvePorts(b *minbase.Base) ([]int, error) {
 // SolveSymmetric solves the detailed-balance system of §4.3 (eq. (4)):
 // d_{i,j}·z_j = d_{j,i}·z_i, by propagating ratios along a spanning tree of
 // the base's support and verifying every off-tree edge — the closed form the
-// paper gives without Gaussian elimination.
+// paper gives without Gaussian elimination. Every product is checked: a
+// base whose ratios leave int64 is reported as an error, never wrapped.
 func SolveSymmetric(b *minbase.Base) ([]int, error) {
 	m := b.N()
 	if !b.IsSymmetricQuotient() {
@@ -89,11 +91,13 @@ func SolveSymmetric(b *minbase.Base) ([]int, error) {
 				continue
 			}
 			// eq. (4): z_j = z_i · d_{j,i} / d_{i,j}.
-			num[j] = num[i] * int64(b.D[j][i])
-			den[j] = den[i] * int64(b.D[i][j])
-			g := gcd64(num[j], den[j])
-			num[j] /= g
-			den[j] /= g
+			n, ok1 := rational.MulInt64(num[i], int64(b.D[j][i]))
+			d, ok2 := rational.MulInt64(den[i], int64(b.D[i][j]))
+			if !ok1 || !ok2 {
+				return nil, errSymmetricOverflow
+			}
+			g := rational.GCD64(n, d)
+			num[j], den[j] = n/g, d/g
 			visited[j] = true
 			queue = append(queue, j)
 		}
@@ -110,7 +114,12 @@ func SolveSymmetric(b *minbase.Base) ([]int, error) {
 				continue
 			}
 			// d_{i,j}·z_j == d_{j,i}·z_i ⟺ d_ij·num_j·den_i == d_ji·num_i·den_j.
-			if int64(b.D[i][j])*num[j]*den[i] != int64(b.D[j][i])*num[i]*den[j] {
+			lhs, ok1 := mul3(int64(b.D[i][j]), num[j], den[i])
+			rhs, ok2 := mul3(int64(b.D[j][i]), num[i], den[j])
+			if !ok1 || !ok2 {
+				return nil, errSymmetricOverflow
+			}
+			if lhs != rhs {
 				return nil, fmt.Errorf("freqcalc: detailed balance fails on base edge %d—%d", i, j)
 			}
 		}
@@ -118,14 +127,20 @@ func SolveSymmetric(b *minbase.Base) ([]int, error) {
 	// Scale to the coprime positive integer vector.
 	l := int64(1)
 	for i := 0; i < m; i++ {
-		l = lcm64(l, den[i])
+		var ok bool
+		if l, ok = rational.MulInt64(l/rational.GCD64(l, den[i]), den[i]); !ok {
+			return nil, errSymmetricOverflow
+		}
 	}
 	z := make([]int, m)
 	g := int64(0)
 	for i := 0; i < m; i++ {
-		v := num[i] * (l / den[i])
+		v, ok := rational.MulInt64(num[i], l/den[i])
+		if !ok {
+			return nil, errSymmetricOverflow
+		}
 		z[i] = int(v)
-		g = gcd64(g, v)
+		g = rational.GCD64(g, v)
 	}
 	if g > 1 {
 		for i := range z {
@@ -135,23 +150,16 @@ func SolveSymmetric(b *minbase.Base) ([]int, error) {
 	return z, nil
 }
 
-func gcd64(a, b int64) int64 {
-	if a < 0 {
-		a = -a
-	}
-	if b < 0 {
-		b = -b
-	}
-	for b != 0 {
-		a, b = b, a%b
-	}
-	if a == 0 {
-		return 1
-	}
-	return a
-}
+var errSymmetricOverflow = errors.New("freqcalc: detailed-balance ratios overflow int64")
 
-func lcm64(a, b int64) int64 { return a / gcd64(a, b) * b }
+// mul3 returns a·b·c and whether it fits in int64.
+func mul3(a, b, c int64) (int64, bool) {
+	ab, ok := rational.MulInt64(a, b)
+	if !ok {
+		return 0, false
+	}
+	return rational.MulInt64(ab, c)
+}
 
 // SolveFor solves the kernel equation of the model's fibration class:
 // the outdegree system for outdegree-preserving fibrations, equal fibres

@@ -1,6 +1,7 @@
 package minbase
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"anonnet/internal/model"
@@ -30,17 +31,20 @@ type Agent struct {
 	degChanged bool
 	epoch      int64
 	round      int
-	hist       []string
+	hist       []Label
 	table      *Table
 	// suppressRefine is set by BoundedAgent while frozen: merging and
 	// reset handling proceed, but no new level is computed.
 	suppressRefine bool
 
-	// cache for CandidateBase keyed by table size (the table only grows
-	// within an epoch).
-	cachedAt   int
-	cachedBase *Base
-	cachedOK   bool
+	// CandidateBase's cache: the table size it was computed at (the table
+	// only grows within an epoch), and the shape of the level the base was
+	// read from. Levels only grow too, so an unchanged shape means the
+	// same base, and the same *Base is returned.
+	cachedAt    int
+	cachedShape levelShape
+	cachedBase  *Base
+	cachedOK    bool
 }
 
 var (
@@ -84,9 +88,9 @@ func NewFactory(kind model.Kind) (model.Factory, error) {
 // from the input value, a table holding only the level-0 signature.
 func (a *Agent) reset(epoch int64) {
 	sig0 := Sig{Value: a.valLabel, Out: -1}
-	l0 := Label(sig0)
+	l0 := sig0.Label()
 	a.epoch = epoch
-	a.hist = []string{l0}
+	a.hist = []Label{l0}
 	a.table = NewTable()
 	a.table.add(Key{Level: 0, Label: l0}, sig0)
 	a.cachedAt = -1
@@ -224,7 +228,7 @@ func (a *Agent) Receive(msgs []model.Message) {
 		refs = append(refs, refObs{label: m.Hist[L-1], port: m.Port})
 	}
 	sig := Sig{Value: a.valLabel, Out: a.outdeg, Prev: a.hist[L-1], In: groupRefs(refs)}
-	label := Label(sig)
+	label := sig.Label()
 	a.hist = append(a.hist, label)
 	a.table.add(Key{Level: L, Label: label}, sig)
 }
@@ -244,7 +248,7 @@ func (a *Agent) mergeMsg(m *Msg) bool {
 		if a.table.Has(e.Key) {
 			continue // validated when first learned
 		}
-		if e.Key.Level < 0 || Label(e.Sig) != e.Key.Label {
+		if e.Key.Level < 0 || e.Sig.Label() != e.Key.Label {
 			ok = false
 			continue
 		}
@@ -302,11 +306,17 @@ func (a *Agent) CandidateBase() (*Base, bool) {
 	if a.cachedAt == a.table.Len() {
 		return a.cachedBase, a.cachedOK
 	}
-	base, ok := ExtractBase(a.table.ByLevel())
 	a.cachedAt = a.table.Len()
-	a.cachedBase = base
-	a.cachedOK = ok
-	return base, ok
+	mid, ok := a.table.candidateLevel()
+	if !ok {
+		a.cachedBase, a.cachedOK = nil, false
+		return nil, false
+	}
+	if shape := a.table.shape(mid); !a.cachedOK || shape != a.cachedShape {
+		a.cachedShape = shape
+		a.cachedBase, a.cachedOK = buildBase(a.table, mid)
+	}
+	return a.cachedBase, a.cachedOK
 }
 
 // Corrupt scrambles the agent's volatile state: the history chain and a
@@ -314,10 +324,11 @@ func (a *Agent) CandidateBase() (*Base, bool) {
 // audit (or a neighbour's message validation) detects the broken
 // certification and launches a reset wave.
 func (a *Agent) Corrupt(junk int64) {
-	garbage := fmt.Sprintf("%032x", uint64(junk)*0x9e3779b1)
+	var garbage Label // prints as the 32 hex digits of the scrambled junk
+	binary.BigEndian.PutUint64(garbage[8:], uint64(junk)*0x9e3779b1)
 	if len(a.hist) > 0 {
 		a.hist[len(a.hist)-1] = garbage
 	}
-	a.table.add(Key{Level: int(uint64(junk) % 7), Label: garbage}, Sig{Value: garbage, Out: int(junk % 5)})
+	a.table.add(Key{Level: int(uint64(junk) % 7), Label: garbage}, Sig{Value: garbage.String(), Out: int(junk % 5)})
 	a.cachedAt = -1
 }

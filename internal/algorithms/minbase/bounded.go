@@ -55,25 +55,8 @@ func (b *BoundedAgent) Frozen() bool {
 // stableRunLength returns the length of the longest conservative stretch of
 // the agent's table (0 if none).
 func (b *BoundedAgent) stableRunLength() int {
-	levels := b.table.ByLevel()
-	maxLevel := 0
-	for l := range levels {
-		if l > maxLevel {
-			maxLevel = l
-		}
-	}
-	best, run := 0, 0
-	for l := 1; l <= maxLevel; l++ {
-		if isConservative(levels[l], levels[l-1]) {
-			run++
-			if run > best {
-				best = run
-			}
-		} else {
-			run = 0
-		}
-	}
-	return best
+	_, n := b.table.longestConservativeRun()
+	return n
 }
 
 // Receive applies the underlying transition with refinement gated by the

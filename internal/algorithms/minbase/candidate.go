@@ -2,7 +2,7 @@ package minbase
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"anonnet/internal/graph"
@@ -93,24 +93,47 @@ func (b *Base) String() string {
 // and completely known, so the candidate equals the minimum base; taking
 // the middle guards against transient stretches among the youngest,
 // still-incomplete levels.
-func ExtractBase(levels map[int]map[string]Sig) (*Base, bool) {
-	if len(levels) == 0 {
+func ExtractBase(t *Table) (*Base, bool) {
+	if t == nil {
 		return nil, false
 	}
-	maxLevel := 0
-	for l := range levels {
-		if l > maxLevel {
-			maxLevel = l
-		}
+	mid, ok := t.candidateLevel()
+	if !ok {
+		return nil, false
 	}
-	conservative := make([]bool, maxLevel+1)
-	for l := 1; l <= maxLevel; l++ {
-		conservative[l] = isConservative(levels[l], levels[l-1])
+	return buildBase(t, mid)
+}
+
+// candidateLevel returns the middle level of the longest conservative
+// stretch, the level ExtractBase reads the base off.
+func (t *Table) candidateLevel() (int, bool) {
+	bestStart, bestLen := t.longestConservativeRun()
+	if bestLen == 0 {
+		return 0, false
 	}
-	bestStart, bestLen := 0, 0
+	mid := bestStart + bestLen/2
+	if mid > bestStart+bestLen-1 {
+		mid = bestStart + bestLen - 1
+	}
+	return mid, true
+}
+
+// levelShape is the size of a level ℓ and of level ℓ-1. Within one table
+// levels only grow, so an unchanged shape means unchanged levels.
+type levelShape struct{ level, size, below int }
+
+// shape returns the shape of a conservative level.
+func (t *Table) shape(l int) levelShape {
+	return levelShape{l, len(t.levels[l].labels), len(t.levels[l-1].labels)}
+}
+
+// longestConservativeRun returns the first level and the length of the
+// longest stretch of consecutive conservative levels (length 0 if none).
+func (t *Table) longestConservativeRun() (bestStart, bestLen int) {
+	maxLevel := t.maxLevel()
 	runStart := -1
 	for l := 1; l <= maxLevel+1; l++ {
-		if l <= maxLevel && conservative[l] {
+		if l <= maxLevel && t.conservative(l) {
 			if runStart == -1 {
 				runStart = l
 			}
@@ -123,62 +146,35 @@ func ExtractBase(levels map[int]map[string]Sig) (*Base, bool) {
 			runStart = -1
 		}
 	}
-	if bestLen == 0 {
-		return nil, false
-	}
-	mid := bestStart + bestLen/2
-	if mid > bestStart+bestLen-1 {
-		mid = bestStart + bestLen - 1
-	}
-	return buildBase(levels[mid], levels[mid-1])
+	return bestStart, bestLen
 }
 
-// isConservative checks the bijectivity and closure conditions between two
-// consecutive levels.
-func isConservative(cur, prev map[string]Sig) bool {
-	if len(cur) == 0 || len(cur) != len(prev) {
-		return false
-	}
-	seenPrev := make(map[string]bool, len(cur))
-	for _, s := range cur {
-		if _, ok := prev[s.Prev]; !ok {
-			return false
-		}
-		if seenPrev[s.Prev] {
-			return false // ψ not injective
-		}
-		seenPrev[s.Prev] = true
-		for _, r := range s.In {
-			if _, ok := prev[r.Prev]; !ok {
-				return false
-			}
-		}
-	}
-	return len(seenPrev) == len(prev) // ψ surjective
-}
-
-// buildBase reads the base off a conservative level: vertices are the
+// buildBase reads the base off conservative level l: vertices are the
 // level's labels (sorted, for determinism); an in-reference to a previous-
 // level label m contributes edges from ψ⁻¹(m).
-func buildBase(cur, prev map[string]Sig) (*Base, bool) {
-	labels := make([]string, 0, len(cur))
-	for l := range cur {
-		labels = append(labels, l)
+func buildBase(t *Table, l int) (*Base, bool) {
+	cur := t.levels[l].labels
+	labels := make([]Label, 0, len(cur))
+	for lab := range cur {
+		labels = append(labels, lab)
 	}
-	sort.Strings(labels)
+	slices.SortFunc(labels, compareLabels)
+	sigs := make([]Sig, len(labels))
 	// ψ⁻¹: previous-level label → vertex whose Prev it is.
-	prevInv := make(map[string]int, len(labels))
-	for i, l := range labels {
-		prevInv[cur[l].Prev] = i
+	prevInv := make(map[Label]int, len(labels))
+	for i, lab := range labels {
+		sigs[i] = t.entries[cur[lab]].Sig
+		prevInv[sigs[i].Prev] = i
 	}
+	n := len(labels)
 	b := &Base{
-		Values: make([]float64, len(labels)),
-		Leader: make([]bool, len(labels)),
-		Out:    make([]int, len(labels)),
-		D:      make([][]int, len(labels)),
+		Values: make([]float64, n),
+		Leader: make([]bool, n),
+		Out:    make([]int, n),
+		D:      make([][]int, n),
 	}
-	for i, l := range labels {
-		s := cur[l]
+	cells := make([]int, n*n)
+	for i, s := range sigs {
 		in, err := DecodeInput(s.Value)
 		if err != nil {
 			return nil, false
@@ -186,10 +182,10 @@ func buildBase(cur, prev map[string]Sig) (*Base, bool) {
 		b.Values[i] = in.Value
 		b.Leader[i] = in.Leader
 		b.Out[i] = s.Out
-		b.D[i] = make([]int, len(labels))
+		b.D[i] = cells[i*n : (i+1)*n : (i+1)*n]
 	}
-	for i, l := range labels {
-		for _, r := range cur[l].In {
+	for i, s := range sigs {
+		for _, r := range s.In {
 			src, ok := prevInv[r.Prev]
 			if !ok {
 				return nil, false

@@ -13,6 +13,14 @@
 // are self-certifying — label = hash(signature) — which is what the reset
 // machinery of agent.go uses to recover from state corruption.
 //
+// A label is the FNV-128a hash of the signature's canonical text (see
+// Sig.Label), stored as its 16 raw bytes. The text spells every referenced
+// label as 32 lower-case hex digits, as when labels were hex strings, and
+// raw bytes sort in the order of their hex strings, so every label and
+// every label-sorted base (buildBase's vertex order, hence each *Base an
+// agent outputs) is what the hex-string encoding gave. A new digest or
+// encoding would permute base vertices and change the printed bases.
+//
 // DESIGN.md §6 records the two deliberate substitutions: exact view trees →
 // hash labels (collision probability ≈ 2⁻⁶⁴ per pair, negligible at
 // simulation scale), and Boldi–Vigna's finite-state self-stabilization →
@@ -20,9 +28,12 @@
 package minbase
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/hex"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -58,13 +69,13 @@ func DecodeInput(s string) (model.Input, error) {
 // neighbours labelled Prev at the previous level, on port Port (0 outside
 // the output-port model).
 type InRef struct {
-	Prev  string
+	Prev  Label
 	Port  int
 	Count int
 }
 
 // Sig is the signature of a view class at some level ℓ ≥ 1: the defining
-// data of the refinement step. Label(sig) is the class's label at ℓ.
+// data of the refinement step. sig.Label() is the class's label at ℓ.
 // Level-0 signatures have only Value set (and Out = -1).
 type Sig struct {
 	// Value is the agent's encoded input (vertex valuation).
@@ -72,76 +83,90 @@ type Sig struct {
 	// Out is the agent's outdegree (self-loop included), or -1 if not yet
 	// known (level 0).
 	Out int
-	// Prev is the agent's own label at level ℓ-1 ("" at level 0).
-	Prev string
+	// Prev is the agent's own label at level ℓ-1 (zero at level 0).
+	Prev Label
 	// In lists the in-neighbour labels at ℓ-1, grouped and sorted by
 	// (Prev, Port) (nil at level 0).
 	In []InRef
 }
 
-// canonical returns the canonical serialization hashed by Label.
-func (s Sig) canonical() string {
-	var b strings.Builder
-	b.WriteString("V=")
-	b.WriteString(s.Value)
-	b.WriteString(";O=")
-	b.WriteString(strconv.Itoa(s.Out))
-	b.WriteString(";P=")
-	b.WriteString(s.Prev)
-	b.WriteString(";I=")
+// Label is a view-class label: the FNV-128a hash of a signature, as 16
+// bytes, which compare in the order of their hex strings. The zero Label
+// is "no label", the Prev of a level-0 signature; it contributes no bytes
+// to a canonical text.
+type Label [16]byte
+
+// String renders the label as 32 lower-case hex digits.
+func (l Label) String() string { return hex.EncodeToString(l[:]) }
+
+func compareLabels(a, b Label) int { return bytes.Compare(a[:], b[:]) }
+
+// Label returns the signature's label: FNV-128a over the canonical text
+//
+//	V=<Value>;O=<Out>;P=<Prev>;I=<Prev>/<Port>*<Count>,…
+//
+// with labels in hex and integers in decimal, written to the hash in
+// pieces from a stack buffer. Labels are self-certifying: a table entry
+// (level, label, sig) is valid iff label == sig.Label().
+func (s Sig) Label() Label {
+	h := fnv.New128a()
+	var buf [128]byte
+	b := append(buf[:0], "V="...)
+	b = append(b, s.Value...)
+	b = append(b, ";O="...)
+	b = strconv.AppendInt(b, int64(s.Out), 10)
+	b = append(b, ";P="...)
+	b = appendLabel(b, s.Prev)
+	h.Write(append(b, ";I="...))
 	for _, r := range s.In {
-		b.WriteString(r.Prev)
-		b.WriteByte('/')
-		b.WriteString(strconv.Itoa(r.Port))
-		b.WriteByte('*')
-		b.WriteString(strconv.Itoa(r.Count))
-		b.WriteByte(',')
+		b = appendLabel(buf[:0], r.Prev)
+		b = append(b, '/')
+		b = strconv.AppendInt(b, int64(r.Port), 10)
+		b = append(b, '*')
+		b = strconv.AppendInt(b, int64(r.Count), 10)
+		h.Write(append(b, ','))
 	}
-	return b.String()
+	var l Label
+	h.Sum(l[:0])
+	return l
 }
 
-// Label returns the 128-bit hash label of a signature, as 32 hex
-// characters. Labels are self-certifying: a table entry (level, label, sig)
-// is valid iff label == Label(sig).
-func Label(s Sig) string {
-	h := fnv.New128a()
-	h.Write([]byte(s.canonical()))
-	return fmt.Sprintf("%x", h.Sum(nil))
+func appendLabel(b []byte, l Label) []byte {
+	if l == (Label{}) {
+		return b
+	}
+	return hex.AppendEncode(b, l[:])
 }
 
 // groupRefs builds the sorted, grouped In list from raw (label, port)
-// observations.
+// observations; it reorders raw.
 func groupRefs(raw []refObs) []InRef {
-	type key struct {
-		prev string
-		port int
-	}
-	counts := make(map[key]int, len(raw))
-	for _, r := range raw {
-		counts[key{r.label, r.port}]++
-	}
-	out := make([]InRef, 0, len(counts))
-	for k, c := range counts {
-		out = append(out, InRef{Prev: k.prev, Port: k.port, Count: c})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Prev != out[j].Prev {
-			return out[i].Prev < out[j].Prev
+	slices.SortFunc(raw, func(a, b refObs) int {
+		if c := compareLabels(a.label, b.label); c != 0 {
+			return c
 		}
-		return out[i].Port < out[j].Port
+		return cmp.Compare(a.port, b.port)
 	})
+	var out []InRef
+	for _, r := range raw {
+		if n := len(out); n > 0 && out[n-1].Prev == r.label && out[n-1].Port == r.port {
+			out[n-1].Count++
+			continue
+		}
+		out = append(out, InRef{Prev: r.label, Port: r.port, Count: 1})
+	}
 	return out
 }
 
 type refObs struct {
-	label string
+	label Label
 	port  int
 }
 
 // Key identifies a view class in the gossiped table.
 type Key struct {
 	Level int
-	Label string
+	Label Label
 }
 
 // Msg is the per-round message: the sender's current epoch, its full label
@@ -151,7 +176,7 @@ type Key struct {
 // the same Msg value to several recipients.
 type Msg struct {
 	Epoch   int64
-	Hist    []string
+	Hist    []Label
 	Port    int
 	Entries []Entry
 }

@@ -31,6 +31,13 @@ func FuzzDecodeInput(f *testing.F) {
 	})
 }
 
+// labelFrom packs the first 16 bytes of s into a label.
+func labelFrom(s string) Label {
+	var l Label
+	copy(l[:], s)
+	return l
+}
+
 // FuzzMergeMsg feeds arbitrary message shapes to an agent: no panic, no
 // acceptance of uncertified entries.
 func FuzzMergeMsg(f *testing.F) {
@@ -41,18 +48,19 @@ func FuzzMergeMsg(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sig := Sig{Value: "v", Out: out, Prev: prev}
+		lab := labelFrom(label)
+		sig := Sig{Value: "v", Out: out, Prev: labelFrom(prev)}
 		m := &Msg{
 			Epoch:   0,
-			Hist:    []string{label},
+			Hist:    []Label{lab},
 			Port:    port,
-			Entries: []Entry{{Key: Key{Level: 0, Label: label}, Sig: sig}},
+			Entries: []Entry{{Key: Key{Level: 0, Label: lab}, Sig: sig}},
 		}
 		ok := a.mergeMsg(m)
-		if ok && label != Label(sig) {
-			t.Fatalf("uncertified entry accepted: label %q vs %q", label, Label(sig))
+		if ok && lab != sig.Label() {
+			t.Fatalf("uncertified entry accepted: label %v vs %v", lab, sig.Label())
 		}
-		if a.table.Has(Key{Level: 0, Label: label}) && label != Label(sig) {
+		if a.table.Has(Key{Level: 0, Label: lab}) && lab != sig.Label() {
 			t.Fatal("forged entry entered the table")
 		}
 	})

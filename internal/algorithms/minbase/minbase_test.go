@@ -1,8 +1,13 @@
 package minbase
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"slices"
+	"sort"
 	"strconv"
+	"strings"
 	"testing"
 
 	"anonnet/internal/dynamic"
@@ -34,18 +39,19 @@ func TestEncodeDecodeInput(t *testing.T) {
 }
 
 func TestLabelDeterministicAndDiscriminating(t *testing.T) {
-	s1 := Sig{Value: "v", Out: 2, Prev: "p", In: []InRef{{Prev: "a", Port: 0, Count: 2}}}
-	s2 := Sig{Value: "v", Out: 2, Prev: "p", In: []InRef{{Prev: "a", Port: 0, Count: 2}}}
-	if Label(s1) != Label(s2) {
+	p, a := labelFrom("p"), labelFrom("a")
+	s1 := Sig{Value: "v", Out: 2, Prev: p, In: []InRef{{Prev: a, Port: 0, Count: 2}}}
+	s2 := Sig{Value: "v", Out: 2, Prev: p, In: []InRef{{Prev: a, Port: 0, Count: 2}}}
+	if s1.Label() != s2.Label() {
 		t.Fatal("equal signatures got different labels")
 	}
 	s3 := s1
 	s3.Out = 3
-	if Label(s1) == Label(s3) {
+	if s1.Label() == s3.Label() {
 		t.Fatal("different signatures got equal labels")
 	}
-	s4 := Sig{Value: "v", Out: 2, Prev: "p", In: []InRef{{Prev: "a", Port: 0, Count: 1}, {Prev: "a", Port: 1, Count: 1}}}
-	if Label(s1) == Label(s4) {
+	s4 := Sig{Value: "v", Out: 2, Prev: p, In: []InRef{{Prev: a, Port: 0, Count: 1}, {Prev: a, Port: 1, Count: 1}}}
+	if s1.Label() == s4.Label() {
 		t.Fatal("different in-structures got equal labels")
 	}
 }
@@ -280,24 +286,24 @@ func TestMergeMsgRejectsForgery(t *testing.T) {
 	sig := Sig{Value: "v", Out: 2}
 	good := &Msg{
 		Epoch:   0,
-		Hist:    []string{Label(sig)},
-		Entries: []Entry{{Key: Key{Level: 0, Label: Label(sig)}, Sig: sig}},
+		Hist:    []Label{sig.Label()},
+		Entries: []Entry{{Key: Key{Level: 0, Label: sig.Label()}, Sig: sig}},
 	}
 	if !a.mergeMsg(good) {
 		t.Fatal("valid message rejected")
 	}
 	bad := &Msg{
 		Epoch:   0,
-		Hist:    []string{"deadbeef"},
-		Entries: []Entry{{Key: Key{Level: 0, Label: "deadbeef"}, Sig: sig}},
+		Hist:    []Label{labelFrom("deadbeef")},
+		Entries: []Entry{{Key: Key{Level: 0, Label: labelFrom("deadbeef")}, Sig: sig}},
 	}
 	if a.mergeMsg(bad) {
 		t.Fatal("forged label accepted")
 	}
-	if a.table.Has(Key{Level: 0, Label: "deadbeef"}) {
+	if a.table.Has(Key{Level: 0, Label: labelFrom("deadbeef")}) {
 		t.Fatal("forged entry entered the table")
 	}
-	missing := &Msg{Epoch: 0, Hist: []string{"nope"}}
+	missing := &Msg{Epoch: 0, Hist: []Label{labelFrom("nope")}}
 	if a.mergeMsg(missing) {
 		t.Fatal("unbacked history accepted")
 	}
@@ -312,7 +318,7 @@ func TestExtractBaseEmptyTable(t *testing.T) {
 func TestTableBasics(t *testing.T) {
 	tb := NewTable()
 	sig := Sig{Value: "v", Out: 1}
-	k := Key{Level: 0, Label: Label(sig)}
+	k := Key{Level: 0, Label: sig.Label()}
 	if !tb.add(k, sig) {
 		t.Fatal("add failed")
 	}
@@ -326,9 +332,53 @@ func TestTableBasics(t *testing.T) {
 		t.Fatal("fresh table invalid")
 	}
 	// In-place corruption must be caught by validate.
-	tb.entries[0].Key.Label = "junk"
+	tb.entries[0].Key.Label = labelFrom("junk")
 	if tb.validate() {
 		t.Fatal("corrupted table validated")
+	}
+}
+
+// TestTableFlagsTrackInsertions checks the incremental conservative
+// flags: replaying a real agent's table in shuffled orders, with every
+// flag read after each insertion, ends with the flags and candidate level
+// of the same entries read once. A junk entry two levels above the top
+// leaves a hole, as Corrupt can.
+func TestTableFlagsTrackInsertions(t *testing.T) {
+	factory, err := NewFactory(model.OutdegreeAware)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := testutil.RunStatic(t, graph.Ring(6), model.OutdegreeAware, testutil.Inputs(1, 2, 1, 2, 1, 2), factory, 30, 1)
+	src := e.Agent(0).(*Agent).table
+	entries := append([]Entry(nil), src.entries...)
+	junk := Sig{Value: "junk", Out: 1}
+	entries = append(entries, Entry{Key: Key{Level: src.maxLevel() + 2, Label: junk.Label()}, Sig: junk})
+	fresh := NewTable()
+	for _, en := range entries {
+		fresh.add(en.Key, en.Sig)
+	}
+	wantMid, wantOK := fresh.candidateLevel()
+	if !wantOK {
+		t.Fatal("replayed table has no candidate level")
+	}
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 5; trial++ {
+		inc := NewTable()
+		for _, i := range rng.Perm(len(entries)) {
+			inc.add(entries[i].Key, entries[i].Sig)
+			for l := 1; l <= inc.maxLevel(); l++ {
+				inc.conservative(l)
+			}
+		}
+		for l := 1; l <= fresh.maxLevel(); l++ {
+			if inc.conservative(l) != fresh.conservative(l) {
+				t.Fatalf("trial %d: level %d conservative %v after incremental inserts, %v read once",
+					trial, l, inc.conservative(l), fresh.conservative(l))
+			}
+		}
+		if mid, ok := inc.candidateLevel(); mid != wantMid || ok != wantOK {
+			t.Fatalf("trial %d: candidate level %d, %v; want %d, %v", trial, mid, ok, wantMid, wantOK)
+		}
 	}
 }
 
@@ -521,6 +571,64 @@ func TestDistributedMatchesReferencePortsAndSymmetric(t *testing.T) {
 			if !ok || !got.Isomorphic(wantS) {
 				t.Fatalf("trial %d (sym): agent %d base %v, reference %v", trial, i, got, wantS)
 			}
+		}
+	}
+}
+
+// hexCanonicalLabel is the label encoding labels had as hex strings: the
+// canonical text built in a strings.Builder, hashed by hash/fnv's
+// FNV-128a and printed with %x. Sig.Label must reproduce it bit for bit —
+// buildBase sorts base vertices by label.
+func hexCanonicalLabel(s Sig) string {
+	hexOf := func(l Label) string {
+		if l == (Label{}) {
+			return ""
+		}
+		return fmt.Sprintf("%x", l[:])
+	}
+	var b strings.Builder
+	b.WriteString("V=" + s.Value + ";O=" + strconv.Itoa(s.Out) + ";P=" + hexOf(s.Prev) + ";I=")
+	for _, r := range s.In {
+		b.WriteString(hexOf(r.Prev) + "/" + strconv.Itoa(r.Port) + "*" + strconv.Itoa(r.Count) + ",")
+	}
+	h := fnv.New128a()
+	h.Write([]byte(b.String()))
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+func TestLabelIsHexCanonicalFNV128a(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	randLabel := func() Label {
+		var l Label
+		if rng.Intn(4) > 0 {
+			rng.Read(l[:])
+		}
+		return l
+	}
+	var labels []Label
+	var hexes []string
+	for trial := 0; trial < 500; trial++ {
+		s := Sig{
+			Value: EncodeInput(model.Input{Value: rng.NormFloat64(), Leader: rng.Intn(2) == 0}),
+			Out:   rng.Intn(40) - 1,
+			Prev:  randLabel(),
+		}
+		for k := rng.Intn(5); k > 0; k-- {
+			s.In = append(s.In, InRef{Prev: randLabel(), Port: rng.Intn(4), Count: 1 + rng.Intn(1000)})
+		}
+		got, want := s.Label(), hexCanonicalLabel(s)
+		if got.String() != want {
+			t.Fatalf("%+v: label %v, hex-canonical FNV-128a %s", s, got, want)
+		}
+		labels = append(labels, got)
+		hexes = append(hexes, want)
+	}
+	// Byte order is hex order, so label-sorted bases keep their vertex order.
+	slices.SortFunc(labels, compareLabels)
+	sort.Strings(hexes)
+	for i := range labels {
+		if labels[i].String() != hexes[i] {
+			t.Fatalf("sorted position %d: label %v, hex %s", i, labels[i], hexes[i])
 		}
 	}
 }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"anonnet/internal/dynamic"
@@ -81,10 +83,21 @@ func cellTraceHash(t *testing.T, r engine.Runner, rounds int) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func TestCellGolden(t *testing.T) {
-	const rounds = 120
+// goldenCell is one runnable cell of Tables 1 and 2 with the factory of
+// its representative function.
+type goldenCell struct {
+	name    string
+	d       *model.Descriptor
+	s       Setting
+	factory model.Factory
+}
+
+// runnableCells lists every cell NewFactory implements, named
+// model/table/row.
+func runnableCells(t *testing.T) []goldenCell {
+	t.Helper()
 	rowNames := map[Row]string{RowNoHelp: "none", RowBound: "bound", RowSize: "size", RowLeader: "leader"}
-	runnable := map[string]bool{}
+	var cells []goldenCell
 	for _, d := range model.Descriptors() {
 		for _, static := range []bool{true, false} {
 			for _, row := range Rows() {
@@ -104,41 +117,102 @@ func TestCellGolden(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				runnable[name] = true
-				t.Run(name, func(t *testing.T) {
-					want, ok := cellGolden[name]
-					cfg := cellConfig(d, s, factory)
-					seq, err := engine.New(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := cellTraceHash(t, seq, rounds)
-					if !ok {
-						t.Errorf("no golden recorded; %q: %q,", name, got)
-					} else if got != want {
-						t.Errorf("seq: trace hash %s, want golden %s", got, want)
-					}
-					if !engine.CanVectorize(cfg) {
-						return
-					}
-					vec, err := engine.NewParallelVec(cellConfig(d, s, factory), 1)
-					if errors.Is(err, engine.ErrNotVectorizable) {
-						return
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer vec.Close()
-					if got := cellTraceHash(t, vec, rounds); got != want {
-						t.Errorf("vec: trace hash %s, want golden %s", got, want)
-					}
-				})
+				cells = append(cells, goldenCell{name, d, s, factory})
 			}
 		}
+	}
+	return cells
+}
+
+func TestCellGolden(t *testing.T) {
+	const rounds = 120
+	runnable := map[string]bool{}
+	for _, c := range runnableCells(t) {
+		name, d, s, factory := c.name, c.d, c.s, c.factory
+		runnable[name] = true
+		t.Run(name, func(t *testing.T) {
+			want, ok := cellGolden[name]
+			cfg := cellConfig(d, s, factory)
+			seq, err := engine.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := cellTraceHash(t, seq, rounds)
+			if !ok {
+				t.Errorf("no golden recorded; %q: %q,", name, got)
+			} else if got != want {
+				t.Errorf("seq: trace hash %s, want golden %s", got, want)
+			}
+			if !engine.CanVectorize(cfg) {
+				return
+			}
+			vec, err := engine.NewParallelVec(cellConfig(d, s, factory), 1)
+			if errors.Is(err, engine.ErrNotVectorizable) {
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer vec.Close()
+			if got := cellTraceHash(t, vec, rounds); got != want {
+				t.Errorf("vec: trace hash %s, want golden %s", got, want)
+			}
+		})
 	}
 	for name := range cellGolden {
 		if !runnable[name] {
 			t.Errorf("golden %s matches no runnable cell", name)
 		}
 	}
+}
+
+// TestCellRunsRepeatBitIdentical runs every TestCellGolden cell twice in
+// one process, each run on a fresh factory, and requires the two traces
+// to agree bit for bit. Go randomizes every map iteration, so an output
+// that depends on map order (a floating-point sum over a map, a
+// dirty-level set walked in map order) shows up here even where both
+// runs happen to hash like the golden.
+func TestCellRunsRepeatBitIdentical(t *testing.T) {
+	const rounds = 120
+	for _, c := range runnableCells(t) {
+		t.Run(c.name, func(t *testing.T) {
+			var traces [2][]byte
+			for i := range traces {
+				factory, err := NewFactory(c.s.Cell().Representative(), c.s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, err := engine.New(cellConfig(c.d, c.s, factory))
+				if err != nil {
+					t.Fatal(err)
+				}
+				traces[i] = cellTrace(t, r, rounds)
+			}
+			if !bytes.Equal(traces[0], traces[1]) {
+				t.Fatalf("two runs of one cell differ:\n%s\n---\n%s", traces[0], traces[1])
+			}
+		})
+	}
+}
+
+// cellTrace records rounds rounds of outputs exactly: float outputs by
+// their IEEE-754 bits, any other output in %v.
+func cellTrace(t *testing.T, r engine.Runner, rounds int) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	for round := 1; round <= rounds; round++ {
+		if err := r.Step(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		fmt.Fprintf(&b, "%d:", round)
+		for _, o := range r.Outputs() {
+			if f, ok := o.(float64); ok {
+				fmt.Fprintf(&b, " %016x", math.Float64bits(f))
+			} else {
+				fmt.Fprintf(&b, " %v", o)
+			}
+		}
+		b.WriteByte('\n')
+	}
+	return b.Bytes()
 }

@@ -4,6 +4,10 @@
 // kernel extraction producing the coprime positive integer vector z with
 // ker M = ℝz, and the best-rational-approximation rounding in
 // ℚ_N = {p/q : 0 ≤ p ≤ q ≤ N} used by the exact dynamic algorithms (§5.4).
+//
+// IntegerKernel solves integer systems fraction-free on int64 with checked
+// arithmetic (int64.go); the big.Rat Matrix here is its fallback when a
+// step overflows, and its oracle in the tests.
 package rational
 
 import (

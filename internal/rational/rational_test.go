@@ -233,3 +233,81 @@ func TestMatrixShapePanics(t *testing.T) {
 	}()
 	NewMatrix(0, 1)
 }
+
+func TestCheckedInt64Helpers(t *testing.T) {
+	const max = math.MaxInt64
+	mul := []struct {
+		a, b, want int64
+		ok         bool
+	}{
+		{3, -4, -12, true}, {-3, -4, 12, true}, {0, math.MinInt64, 0, true},
+		{max, 1, max, true}, {max, -1, -max, true}, {1 << 32, 1 << 31, 0, false},
+		{1 << 32, 1<<31 - 1, (1<<31 - 1) << 32, true}, {math.MinInt64, 1, 0, false}, {-1 << 32, 1 << 31, 0, false},
+	}
+	for _, c := range mul {
+		if got, ok := MulInt64(c.a, c.b); ok != c.ok || (ok && got != c.want) {
+			t.Errorf("MulInt64(%d, %d) = %d, %v; want %d, %v", c.a, c.b, got, ok, c.want, c.ok)
+		}
+	}
+	sub := []struct {
+		a, b, want int64
+		ok         bool
+	}{
+		{5, 7, -2, true}, {-max, 1, 0, false}, {max, -1, 0, false}, {-max, -max, 0, true}, {0, max, -max, true},
+	}
+	for _, c := range sub {
+		if got, ok := subInt64(c.a, c.b); ok != c.ok || (ok && got != c.want) {
+			t.Errorf("subInt64(%d, %d) = %d, %v; want %d, %v", c.a, c.b, got, ok, c.want, c.ok)
+		}
+	}
+	if GCD64(0, 0) != 1 || GCD64(-12, 18) != 6 || GCD64(math.MinInt64, math.MinInt64) != 1 {
+		t.Fatal("GCD64 edge cases")
+	}
+}
+
+// TestIntegerKernelOverflowFallback pins that the fuzz seeds with entries
+// near 2³¹ really overflow the int64 elimination, and that IntegerKernel
+// then answers as the big.Rat path does.
+func TestIntegerKernelOverflowFallback(t *testing.T) {
+	overflowed := 0
+	for _, grid := range [][][]int{
+		{{1 << 31, -(1 << 30), 3}, {7, 1 << 31, -(1 << 29)}, {-(1 << 31), 5, 1 << 31}},
+		fuzzGrid(overflowSeed(0x55)),
+		fuzzGrid(overflowSeed(0x77)),
+	} {
+		if _, err := kernelInt64(grid); err == errOverflow {
+			overflowed++
+		}
+		want, wantErr := FromInts(grid).IntegerKernelVector()
+		got, gotErr := IntegerKernel(grid)
+		if (gotErr == nil) != (wantErr == nil) || !equalInts(got, want) {
+			t.Fatalf("grid %v: IntegerKernel %v (%v), big.Rat %v (%v)", grid, got, gotErr, want, wantErr)
+		}
+	}
+	if overflowed == 0 {
+		t.Fatal("no grid overflowed the int64 path; the fallback is untested")
+	}
+}
+
+func TestIntegerKernelMatchesMatrix(t *testing.T) {
+	grids := [][][]int{
+		{{-1, 1}, {1, -1}},
+		{{-2, 1, 1}, {1, -1, 0}, {1, 0, -1}},
+		{{0, 0}, {0, 0}},
+		{{1, 2}, {3, 4}},
+		{{1, -1, 0}, {0, 0, 0}},
+		{{-3, 2}, {3, -2}},
+		{{1, 1}},
+		// A later pivot row with pivot 4 rescales a row that already has
+		// entries left of the pivot column: z = (1, 2, 3, 4).
+		{{1, 0, 1, -1}, {0, 2, 0, -1}, {0, 0, 4, -3}},
+	}
+	for _, g := range grids {
+		want, wantErr := FromInts(g).IntegerKernelVector()
+		got, gotErr := IntegerKernel(g)
+		if !equalInts(got, want) || (gotErr == nil) != (wantErr == nil) ||
+			(gotErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Errorf("grid %v: IntegerKernel %v (%v), Matrix %v (%v)", g, got, gotErr, want, wantErr)
+		}
+	}
+}
