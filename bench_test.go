@@ -490,26 +490,60 @@ var staticExactSpecs = []struct {
 // job fails when any case reports more allocs/op than its gate.
 func BenchmarkStaticExactJob(b *testing.B) {
 	for _, tc := range staticExactSpecs {
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			rounds := 0
-			for i := 0; i < b.N; i++ {
-				sp := tc.spec
-				sp.Seed = 1
-				c, err := job.Compile(sp)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := job.Run(context.Background(), c, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rounds = res.Rounds
-			}
-			b.ReportMetric(float64(rounds), "rounds")
-		})
+		b.Run(tc.name, func(b *testing.B) { benchJob(b, tc.spec) })
 	}
 }
+
+// benchJob compiles spec with seed 1 and runs it to output stability, one
+// job per op, and reports the rounds the last job took.
+func benchJob(b *testing.B, spec job.Spec) {
+	b.ReportAllocs()
+	rounds := 0
+	for i := 0; i < b.N; i++ {
+		sp := spec
+		sp.Seed = 1
+		c, err := job.Compile(sp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := job.Run(context.Background(), c, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rounds = res.Rounds
+	}
+	b.ReportMetric(float64(rounds), "rounds")
+}
+
+// dynamicSpec is the dynamic workload's Push-Sum frequency job (Algorithm 1
+// with a known bound, rounded to ℚ_N by Cor. 5.3) on a fresh random
+// connected graph every round. perfbench keeps its own copy; it is a
+// separate module.
+var dynamicSpec = job.Spec{
+	SchemaVersion: 6,
+	Graph:         job.GraphSpec{Builder: "randomdyn", N: 512},
+	Kind:          "od",
+	Row:           "bound",
+	BoundN:        512,
+	Function:      "average",
+	Values:        modValues(512, 4),
+	Patience:      100,
+	Engine:        "vec",
+}
+
+func modValues(n, m int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = float64(i % m)
+	}
+	return v
+}
+
+// BenchmarkDynamicJob times one dynamic job per op: compile the spec and
+// run it to output stability (about 120 rounds). The cost is the round
+// graph build and the agents' Push-Sum round with its ℚ_N rounding. The
+// CI bench-smoke job fails when it reports more allocs/op than its gate.
+func BenchmarkDynamicJob(b *testing.B) { benchJob(b, dynamicSpec) }
 
 // BenchmarkServiceThroughput measures jobs/sec through the anonnetd worker
 // pool: "cold" submits b.N distinct computations (unique seeds, no cache

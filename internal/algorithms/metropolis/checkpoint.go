@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"slices"
 
 	"anonnet/internal/model"
+	"anonnet/internal/reconstruct"
 )
 
 // Checkpoint support (model.Checkpointable) for the Metropolis automata;
@@ -51,7 +53,8 @@ func (a *Agent) UnmarshalState(data []byte) error {
 
 // freqAgentState is FreqAgent's dynamic state: the recorded degree, the
 // per-value estimates, and the last good output (reconstruction failures
-// keep the previous output, so it is state).
+// keep the previous output, so it is state). The value-keyed map is the
+// encoding; the agent itself keeps the estimates in sorted slices.
 type freqAgentState struct {
 	Deg int
 	X   map[float64]float64
@@ -65,7 +68,7 @@ func (a *FreqAgent) MarshalState() ([]byte, error) {
 		return nil, fmt.Errorf("metropolis: FreqAgent output is %T, not float64", a.out)
 	}
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(freqAgentState{Deg: a.deg, X: a.x, Out: out}); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(freqAgentState{Deg: a.deg, X: a.Estimates(), Out: out}); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -78,9 +81,16 @@ func (a *FreqAgent) UnmarshalState(data []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return fmt.Errorf("metropolis: FreqAgent state: %w", err)
 	}
-	if st.X == nil {
-		st.X = make(map[float64]float64)
+	a.vals = a.vals[:0]
+	for w := range st.X {
+		a.vals = append(a.vals, w)
 	}
-	a.deg, a.x, a.out = st.Deg, st.X, st.Out
+	slices.Sort(a.vals)
+	a.x = a.x[:0]
+	for _, w := range a.vals {
+		a.x = append(a.x, st.X[w])
+	}
+	a.deg, a.out = st.Deg, st.Out
+	a.memo = reconstruct.Memo{} // the next reconstruction re-evaluates f
 	return nil
 }

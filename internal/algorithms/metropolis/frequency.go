@@ -2,6 +2,7 @@ package metropolis
 
 import (
 	"fmt"
+	"slices"
 
 	"anonnet/internal/funcs"
 	"anonnet/internal/model"
@@ -28,9 +29,14 @@ type FreqAgent struct {
 	f       funcs.Func
 	help    model.Help
 
-	deg int
-	x   map[float64]float64
-	out model.Value
+	// vals lists the values whose instance this agent runs, in ascending
+	// order, and x the estimates aligned with it. Both entry points update
+	// this one representation in place; values only ever join.
+	deg  int
+	vals []float64
+	x    []float64
+	out  model.Value
+	memo reconstruct.Memo // the last reconstruction: f runs only on a change
 
 	// universe is the engine-provided dense layout for vectorized runs:
 	// sorted distinct input values, read-only (see model.VectorAgent).
@@ -64,7 +70,8 @@ func NewFreqFactory(f funcs.Func, variant Variant, help model.Help) (model.Facto
 			boundN:  boundN,
 			f:       f,
 			help:    help,
-			x:       map[float64]float64{in.Value: 1},
+			vals:    []float64{in.Value},
+			x:       []float64{1},
 			out:     f.Eval(multiset.New(in.Value)),
 		}
 	}, nil
@@ -82,81 +89,88 @@ func (a *FreqAgent) SendOutdegree(outdeg int) model.Message {
 func (a *FreqAgent) Send() model.Message { return a.buildMsg(0) }
 
 func (a *FreqAgent) buildMsg(deg int) model.Message {
-	x := make(map[float64]float64, len(a.x))
-	for k, v := range a.x {
-		x[k] = v
-	}
-	return FreqMsg{X: x, D: deg}
+	return FreqMsg{X: a.Estimates(), D: deg}
+}
+
+// join inserts value w, not yet run here, at its sorted position with
+// estimate x.
+func (a *FreqAgent) join(w, x float64) {
+	i, _ := slices.BinarySearch(a.vals, w)
+	a.vals = slices.Insert(a.vals, i, w)
+	a.x = slices.Insert(a.x, i, x)
 }
 
 // Receive applies the per-value Metropolis update. A value unknown to the
 // agent joins with estimate 0, and a neighbour unaware of ω is treated as
 // holding 0 — both ends of a link compute the same view of the exchange, so
 // the per-instance sum is conserved and every estimate converges to ν(ω).
+// Each value's update reads only its own estimate, so joining first and
+// updating every value in place is the same as updating over the support.
 func (a *FreqAgent) Receive(msgs []model.Message) {
 	incoming := make([]FreqMsg, 0, len(msgs))
-	support := make(map[float64]bool, len(a.x))
-	for w := range a.x {
-		support[w] = true
-	}
 	for _, raw := range msgs {
-		m, ok := raw.(FreqMsg)
-		if !ok {
-			continue
-		}
-		incoming = append(incoming, m)
-		for w := range m.X {
-			support[w] = true
+		if m, ok := raw.(FreqMsg); ok {
+			incoming = append(incoming, m)
 		}
 	}
-	next := make(map[float64]float64, len(support))
-	if a.variant == MaxDegree {
-		// Factored form shared verbatim with the vectorized path (see
-		// maxDegreeStep): sum the neighbours' estimates first, then apply
-		// the 1/N-weighted correction once.
-		for w := range support {
-			xw := a.x[w] // 0 when joining
+	for _, m := range incoming {
+		for w := range m.X {
+			if _, known := slices.BinarySearch(a.vals, w); !known {
+				a.join(w, 0)
+			}
+		}
+	}
+	for i, w := range a.vals {
+		xw := a.x[i]
+		if a.variant == MaxDegree {
+			// Factored form shared verbatim with the vectorized path (see
+			// maxDegreeStep): sum the neighbours' estimates first, then
+			// apply the 1/N-weighted correction once.
 			var sum float64
 			for _, m := range incoming {
 				sum += m.X[w] // missing entries read as 0
 			}
-			next[w] = maxDegreeStep(xw, sum, len(incoming), a.boundN)
+			a.x[i] = maxDegreeStep(xw, sum, len(incoming), a.boundN)
+			continue
 		}
-	} else {
-		for w := range support {
-			xw := a.x[w] // 0 when joining
-			sum := xw
-			for _, m := range incoming {
-				sum += a.weight(m.D) * (m.X[w] - xw) // missing entries read as 0
-			}
-			next[w] = sum
+		sum := xw
+		for _, m := range incoming {
+			sum += a.weight(m.D) * (m.X[w] - xw) // missing entries read as 0
 		}
+		a.x[i] = sum
 	}
-	a.x = next
 	a.refreshOutput()
 }
 
 // InitVector reports width 2 per universe value — the estimate and an
 // awareness flag — for the MaxDegree variant; Standard and Lazy decline,
 // exactly as the plain Agent does. The flag reproduces the support-set
-// semantics: a value enters an agent's estimate map when some neighbour
-// runs its instance, even at estimate 0.
+// semantics: a value enters an agent's estimates when some neighbour runs
+// its instance, even at estimate 0.
 func (a *FreqAgent) InitVector(universe []float64) int {
 	if a.variant != MaxDegree {
 		return 0
 	}
 	a.universe = universe
+	// A connected network eventually runs every instance everywhere, so
+	// the per-value slices get their full capacity once, up front.
+	grow := len(universe) - len(a.vals)
+	a.vals = slices.Grow(a.vals, grow)
+	a.x = slices.Grow(a.x, grow)
 	return 2 * len(universe)
 }
 
 // SendVector lays the estimates out densely; unaware values contribute
 // exact-zero rows (estimates are non-negative, so adding them never flips
-// a sign bit).
+// a sign bit). The agent's values are a sorted subset of the universe, so
+// one merge walk places them.
 func (a *FreqAgent) SendVector(outdeg int, dst []float64) {
+	j := 0
 	for k, w := range a.universe {
-		if x, aware := a.x[w]; aware {
-			dst[2*k] = x
+		if j < len(a.vals) && a.vals[j] == w {
+			dst[2*k] = a.x[j]
 			dst[2*k+1] = 1
+			j++
 		} else {
 			dst[2*k] = 0
 			dst[2*k+1] = 0
@@ -168,33 +182,38 @@ func (a *FreqAgent) SendVector(outdeg int, dst []float64) {
 // engine-summed rows — the same expression, on bit-identical operands, as
 // the generic Receive.
 func (a *FreqAgent) ReceiveVector(sum []float64, count int) {
-	next := make(map[float64]float64, len(a.x))
+	j := 0
 	for k, w := range a.universe {
-		xw, joined := a.x[w]
-		if sum[2*k+1] == 0 && !joined {
+		if j < len(a.vals) && a.vals[j] == w {
+			a.x[j] = maxDegreeStep(a.x[j], sum[2*k], count, a.boundN)
+			j++
+			continue
+		}
+		if sum[2*k+1] == 0 {
 			continue // ω not in support: no instance here yet
 		}
-		next[w] = maxDegreeStep(xw, sum[2*k], count, a.boundN)
+		a.join(w, maxDegreeStep(0, sum[2*k], count, a.boundN))
+		j++
 	}
-	a.x = next
 	a.refreshOutput()
 }
 
-// Estimates returns a copy of the per-value estimates, for tests.
+// Estimates returns the per-value estimates as a fresh map, the form of
+// messages and checkpoints.
 func (a *FreqAgent) Estimates() map[float64]float64 {
-	out := make(map[float64]float64, len(a.x))
-	for w, v := range a.x {
-		out[w] = v
+	out := make(map[float64]float64, len(a.vals))
+	for i, w := range a.vals {
+		out[w] = a.x[i]
 	}
 	return out
 }
 
+// refreshOutput re-evaluates f when the reconstructed multiset changed; a
+// failed reconstruction keeps the previous output.
 func (a *FreqAgent) refreshOutput() {
-	ms, ok := reconstruct.FromHelp(a.x, a.help)
-	if !ok {
-		return
+	if a.memo.Update(a.vals, a.x, a.help) {
+		a.out = a.f.Eval(a.memo.Args())
 	}
-	a.out = a.f.Eval(ms)
 }
 
 // weight reuses the pairwise weight rule of the plain agent.

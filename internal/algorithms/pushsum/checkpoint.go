@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"slices"
 
 	"anonnet/internal/model"
+	"anonnet/internal/reconstruct"
 )
 
 // Checkpoint support (model.Checkpointable): both Push-Sum automata can
@@ -50,7 +52,9 @@ func (a *QuotSum) UnmarshalState(data []byte) error {
 // frequencyState is Frequency's dynamic state: the recorded outdegree, the
 // per-value mass arrays, and the last good output (the output has
 // hysteresis — reconstruction failures keep the previous value — so it is
-// state, not a function of y and z).
+// state, not a function of y and z). The agent keeps its masses in slices
+// over its sorted values; the value-keyed maps are the encoding, which
+// keeps checkpoints written before that change readable.
 type frequencyState struct {
 	Outdeg int
 	Y, Z   map[float64]float64
@@ -63,7 +67,8 @@ func (a *Frequency) MarshalState() ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("pushsum: Frequency output is %T, not float64", a.out)
 	}
-	return encodeState(frequencyState{Outdeg: a.outdeg, Y: a.y, Z: a.z, Out: out})
+	y, z := a.massMaps()
+	return encodeState(frequencyState{Outdeg: a.outdeg, Y: y, Z: z, Out: out})
 }
 
 // UnmarshalState restores the per-value mass arrays and the output. The
@@ -74,13 +79,18 @@ func (a *Frequency) UnmarshalState(data []byte) error {
 	if err := decodeState(data, &st); err != nil {
 		return fmt.Errorf("pushsum: Frequency state: %w", err)
 	}
-	if st.Y == nil {
-		st.Y = make(map[float64]float64)
+	a.vals = a.vals[:0]
+	for w := range st.Y {
+		a.vals = append(a.vals, w)
 	}
-	if st.Z == nil {
-		st.Z = make(map[float64]float64)
+	slices.Sort(a.vals)
+	a.y, a.z = a.y[:0], a.z[:0]
+	for _, w := range a.vals {
+		a.y = append(a.y, st.Y[w])
+		a.z = append(a.z, st.Z[w])
 	}
-	a.outdeg, a.y, a.z, a.out = st.Outdeg, st.Y, st.Z, st.Out
+	a.outdeg, a.out = st.Outdeg, st.Out
+	a.memo = reconstruct.Memo{} // the next reconstruction re-evaluates f
 	return nil
 }
 

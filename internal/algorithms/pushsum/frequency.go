@@ -3,6 +3,7 @@ package pushsum
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"anonnet/internal/funcs"
 	"anonnet/internal/model"
@@ -40,9 +41,19 @@ type Frequency struct {
 	help   model.Help
 	leader bool
 
+	// vals lists the values whose instance this agent has joined, in
+	// ascending order; y and z are the per-value masses aligned with it.
+	// Both entry points (map messages and dense vector rows) update this
+	// one representation in place, and values only ever join.
 	outdeg int
-	y, z   map[float64]float64
+	vals   []float64
+	y, z   []float64
 	out    model.Value
+
+	// x is scratch for the quotients the output is reconstructed from;
+	// memo remembers the last reconstruction so f runs only on a change.
+	x    []float64
+	memo reconstruct.Memo
 
 	// universe is the engine-provided dense layout for vectorized runs:
 	// sorted distinct input values, read-only (see model.VectorAgent).
@@ -65,8 +76,9 @@ func NewFrequencyFactory(f funcs.Func, help model.Help) (model.Factory, error) {
 			f:      f,
 			help:   help,
 			leader: in.Leader,
-			y:      map[float64]float64{in.Value: 1},
-			z:      map[float64]float64{in.Value: initialMass(help, in.Leader)},
+			vals:   []float64{in.Value},
+			y:      []float64{1},
+			z:      []float64{initialMass(help, in.Leader)},
 			out:    f.Eval(multiset.New(in.Value)),
 		}
 	}, nil
@@ -81,18 +93,32 @@ func initialMass(help model.Help, leader bool) float64 {
 	return 1
 }
 
+// join inserts value w, not yet joined, at its sorted position with
+// masses (y, z).
+func (a *Frequency) join(w, y, z float64) {
+	i, _ := slices.BinarySearch(a.vals, w)
+	a.vals = slices.Insert(a.vals, i, w)
+	a.y = slices.Insert(a.y, i, y)
+	a.z = slices.Insert(a.z, i, z)
+}
+
 // SendOutdegree ships the full arrays with the current outdegree.
 func (a *Frequency) SendOutdegree(outdeg int) model.Message {
 	a.outdeg = outdeg
-	y := make(map[float64]float64, len(a.y))
-	z := make(map[float64]float64, len(a.z))
-	for k, v := range a.y {
-		y[k] = v
-	}
-	for k, v := range a.z {
-		z[k] = v
-	}
+	y, z := a.massMaps()
 	return FreqMsg{Y: y, Z: z, D: outdeg}
+}
+
+// massMaps returns fresh value → mass maps of y and z, the form of
+// messages and checkpoints.
+func (a *Frequency) massMaps() (y, z map[float64]float64) {
+	y = make(map[float64]float64, len(a.vals))
+	z = make(map[float64]float64, len(a.vals))
+	for i, w := range a.vals {
+		y[w] = a.y[i]
+		z[w] = a.z[i]
+	}
+	return y, z
 }
 
 // Receive applies the per-value Push-Sum update: for every value ω known to
@@ -100,43 +126,42 @@ func (a *Frequency) SendOutdegree(outdeg int) model.Message {
 // instance ω adds its retained initial mass once.
 func (a *Frequency) Receive(msgs []model.Message) {
 	incoming := make([]FreqMsg, 0, len(msgs))
-	support := make(map[float64]bool, len(a.y))
-	for w := range a.y {
-		support[w] = true
-	}
 	for _, raw := range msgs {
-		m, ok := raw.(FreqMsg)
-		if !ok || m.D < 1 {
-			continue
-		}
-		incoming = append(incoming, m)
-		for w := range m.Y {
-			support[w] = true
+		if m, ok := raw.(FreqMsg); ok && m.D >= 1 {
+			incoming = append(incoming, m)
 		}
 	}
-	newY := make(map[float64]float64, len(support))
-	newZ := make(map[float64]float64, len(support))
-	for w := range support {
-		var ySum, zSum float64
-		for _, m := range incoming {
-			if _, aware := m.Y[w]; !aware {
-				continue // unaware sender: its mass is retained at its end
+	for i, w := range a.vals {
+		a.y[i], a.z[i] = shareSums(incoming, w)
+	}
+	for _, m := range incoming {
+		for w := range m.Y {
+			if _, joined := slices.BinarySearch(a.vals, w); joined {
+				continue
 			}
-			d := float64(m.D)
-			ySum += m.Y[w] / d
-			zSum += m.Z[w] / d
-		}
-		if _, joined := a.y[w]; !joined {
 			// First time processing instance ω: incorporate the retained
 			// initial mass exactly once (the virtual self-loop of the
 			// asynchronous-start reduction).
-			zSum += initialMass(a.help, a.leader)
+			y, z := shareSums(incoming, w)
+			a.join(w, y, z+initialMass(a.help, a.leader))
 		}
-		newY[w] = ySum
-		newZ[w] = zSum
 	}
-	a.y, a.z = newY, newZ
 	a.refreshOutput()
+}
+
+// shareSums adds up, in message order, the instance-ω shares of the
+// senders aware of ω.
+func shareSums(incoming []FreqMsg, w float64) (y, z float64) {
+	for _, m := range incoming {
+		my, aware := m.Y[w]
+		if !aware {
+			continue // unaware sender: its mass is retained at its end
+		}
+		d := float64(m.D)
+		y += my / d
+		z += m.Z[w] / d
+	}
+	return y, z
 }
 
 // InitVector reports width 3 per universe value: the y-share, the z-share,
@@ -146,6 +171,12 @@ func (a *Frequency) Receive(msgs []model.Message) {
 // that distinction, since a dense 0 cannot.
 func (a *Frequency) InitVector(universe []float64) int {
 	a.universe = universe
+	// A connected network eventually runs every instance everywhere, so
+	// the per-value slices get their full capacity once, up front.
+	grow := len(universe) - len(a.vals)
+	a.vals = slices.Grow(a.vals, grow)
+	a.y = slices.Grow(a.y, grow)
+	a.z = slices.Grow(a.z, grow)
 	return 3 * len(universe)
 }
 
@@ -153,15 +184,18 @@ func (a *Frequency) InitVector(universe []float64) int {
 // m.Y[ω]/d divisions Receive performs on arrival, moved to the sender —
 // identical operands, identical bits — and an unaware value's (0, 0, 0) row
 // contributes exact zeros that leave the receiver's running sums unchanged
-// (the masses are non-negative, so no −0 can arise).
+// (the masses are non-negative, so no −0 can arise). The joined values are
+// a sorted subset of the universe, so one merge walk places them.
 func (a *Frequency) SendVector(outdeg int, dst []float64) {
 	a.outdeg = outdeg
 	d := float64(outdeg)
+	j := 0
 	for k, w := range a.universe {
-		if y, aware := a.y[w]; aware {
-			dst[3*k] = y / d
-			dst[3*k+1] = a.z[w] / d
+		if j < len(a.vals) && a.vals[j] == w {
+			dst[3*k] = a.y[j] / d
+			dst[3*k+1] = a.z[j] / d
 			dst[3*k+2] = 1
+			j++
 		} else {
 			dst[3*k] = 0
 			dst[3*k+1] = 0
@@ -175,37 +209,44 @@ func (a *Frequency) SendVector(outdeg int, dst []float64) {
 // already runs its instance; a joining agent incorporates its retained
 // initial mass exactly once.
 func (a *Frequency) ReceiveVector(sum []float64, count int) {
-	newY := make(map[float64]float64, len(a.y))
-	newZ := make(map[float64]float64, len(a.y))
+	j := 0
 	for k, w := range a.universe {
-		_, joined := a.y[w]
-		if sum[3*k+2] == 0 && !joined {
+		if j < len(a.vals) && a.vals[j] == w {
+			a.y[j], a.z[j] = sum[3*k], sum[3*k+1]
+			j++
+			continue
+		}
+		if sum[3*k+2] == 0 {
 			continue // ω not in support: no instance here yet
 		}
-		ySum, zSum := sum[3*k], sum[3*k+1]
-		if !joined {
-			zSum += initialMass(a.help, a.leader)
-		}
-		newY[w] = ySum
-		newZ[w] = zSum
+		a.join(w, sum[3*k], sum[3*k+1]+initialMass(a.help, a.leader))
+		j++
 	}
-	a.y, a.z = newY, newZ
 	a.refreshOutput()
+}
+
+// quotients fills the scratch with the per-value quotients
+// x[ω] = y[ω]/z[ω], aligned with vals. Values with z[ω] = 0 get +Inf, as
+// §5.5 notes can transiently happen in the leader variant.
+func (a *Frequency) quotients() []float64 {
+	a.x = a.x[:0]
+	for i, y := range a.y {
+		q := math.Inf(1)
+		if z := a.z[i]; z != 0 {
+			q = y / z
+		}
+		a.x = append(a.x, q)
+	}
+	return a.x
 }
 
 // Quotients returns the raw per-value quotients x[ω] = y[ω]/z[ω] (which
 // converge to ν(ω) without leaders and to multiplicity(ω)/ℓ in the
-// leader variant). Values with z[ω] = 0 map to +Inf, as §5.5 notes can
-// transiently happen.
+// leader variant), +Inf where z[ω] = 0.
 func (a *Frequency) Quotients() map[float64]float64 {
-	out := make(map[float64]float64, len(a.y))
-	for w, y := range a.y {
-		z := a.z[w]
-		if z == 0 {
-			out[w] = math.Inf(1)
-			continue
-		}
-		out[w] = y / z
+	out := make(map[float64]float64, len(a.vals))
+	for i, q := range a.quotients() {
+		out[a.vals[i]] = q
 	}
 	return out
 }
@@ -213,21 +254,19 @@ func (a *Frequency) Quotients() map[float64]float64 {
 // Mass returns the total (Σy, Σz) held by this agent, for the conservation
 // property tests.
 func (a *Frequency) Mass() (y, z float64) {
-	for _, v := range a.y {
-		y += v
-	}
-	for _, v := range a.z {
-		z += v
+	for i := range a.vals {
+		y += a.y[i]
+		z += a.z[i]
 	}
 	return y, z
 }
 
+// refreshOutput re-evaluates f when the reconstructed multiset changed; a
+// failed reconstruction keeps the previous output.
 func (a *Frequency) refreshOutput() {
-	ms, ok := reconstruct.FromHelp(a.Quotients(), a.help)
-	if !ok {
-		return
+	if a.memo.Update(a.vals, a.quotients(), a.help) {
+		a.out = a.f.Eval(a.memo.Args())
 	}
-	a.out = a.f.Eval(ms)
 }
 
 // Output returns the current output value.

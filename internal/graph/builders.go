@@ -141,17 +141,19 @@ func DeBruijn(k, d int) *Graph {
 // self-loops: a random Hamiltonian cycle plus extra random arcs.
 func RandomStronglyConnected(n, extraEdges int, rng *rand.Rand) *Graph {
 	g := New(n)
+	a := newArcSet(n, 2*n+max(extraEdges, 0))
 	perm := rng.Perm(n)
 	for i := 0; i < n; i++ {
-		g.AddEdge(i, i)
-		g.AddEdge(perm[i], perm[(i+1)%n])
+		a.add(i, i)
+		a.add(perm[i], perm[(i+1)%n])
 	}
 	for e := 0; e < extraEdges; e++ {
 		u, v := rng.Intn(n), rng.Intn(n)
-		if u != v && !g.HasEdge(u, v) {
-			g.AddEdge(u, v)
+		if u != v && !a.has(u, v) {
+			a.add(u, v)
 		}
 	}
+	g.setEdges(a.edges)
 	return g
 }
 
@@ -160,23 +162,60 @@ func RandomStronglyConnected(n, extraEdges int, rng *rand.Rand) *Graph {
 // edges.
 func RandomSymmetricConnected(n, extraEdges int, rng *rand.Rand) *Graph {
 	g := New(n)
+	a := newArcSet(n, 3*n+2*max(extraEdges, 0))
 	perm := rng.Perm(n)
 	for i := 0; i < n; i++ {
-		g.AddEdge(i, i)
+		a.add(i, i)
 	}
 	for i := 1; i < n; i++ {
 		u, v := perm[i], perm[rng.Intn(i)]
-		g.AddEdge(u, v)
-		g.AddEdge(v, u)
+		a.add(u, v)
+		a.add(v, u)
 	}
 	for e := 0; e < extraEdges; e++ {
 		u, v := rng.Intn(n), rng.Intn(n)
-		if u != v && !g.HasEdge(u, v) {
-			g.AddEdge(u, v)
-			g.AddEdge(v, u)
+		if u != v && !a.has(u, v) {
+			a.add(u, v)
+			a.add(v, u)
 		}
 	}
+	g.setEdges(a.edges)
 	return g
+}
+
+// arcSet collects the arcs of a random builder in insertion order and
+// answers "is there a u→v arc yet?" in O(out-degree of u), like HasEdge,
+// by chaining each arc to the previous one from the same source. The
+// random builders run per round on dynamic schedules and with n extra
+// arcs on static graphs of up to 2²⁰ vertices, so a scan of the whole
+// arc list would be quadratic.
+type arcSet struct {
+	edges []Edge
+	last  []int // last[u]: 1 + index of u's latest arc, 0 while u has none
+	prev  []int // prev[i]: 1 + index of the arc before arc i from its source, 0 for none
+}
+
+func newArcSet(n, capacity int) arcSet {
+	return arcSet{
+		edges: make([]Edge, 0, capacity),
+		last:  make([]int, n),
+		prev:  make([]int, 0, capacity),
+	}
+}
+
+func (a *arcSet) add(u, v int) {
+	a.edges = append(a.edges, Edge{From: u, To: v})
+	a.prev = append(a.prev, a.last[u])
+	a.last[u] = len(a.edges)
+}
+
+func (a *arcSet) has(u, v int) bool {
+	for i := a.last[u]; i != 0; i = a.prev[i-1] {
+		if a.edges[i-1].To == v {
+			return true
+		}
+	}
+	return false
 }
 
 // RandomGeometric returns a random geometric graph: n points uniform in the

@@ -67,6 +67,37 @@ func (g *Graph) AddPortEdge(u, v, port int) {
 	g.in[v] = append(g.in[v], idx)
 }
 
+// setEdges gives the edgeless g the edge list, which it keeps, and lays
+// out the adjacency in one counting pass per direction, each direction in
+// a single backing array: the same index lists, in edge order, that
+// AddPortEdge builds one append at a time. Every list is capped at its
+// own length, so a later AddPortEdge copies it rather than writing into
+// the next vertex's list.
+func (g *Graph) setEdges(edges []Edge) {
+	m := len(edges)
+	idx := make([]int, 2*m)
+	at := make([]int, g.n+1)
+	lay := func(adj [][]int, back []int, end func(Edge) int) {
+		clear(at)
+		for _, e := range edges {
+			at[end(e)+1]++
+		}
+		for v := 0; v < g.n; v++ {
+			at[v+1] += at[v]
+		}
+		for v := range adj {
+			adj[v] = back[at[v]:at[v]:at[v+1]]
+		}
+		for i, e := range edges {
+			v := end(e)
+			adj[v] = append(adj[v], i)
+		}
+	}
+	lay(g.out, idx[:m], func(e Edge) int { return e.From })
+	lay(g.in, idx[m:], func(e Edge) int { return e.To })
+	g.edges = edges
+}
+
 // Edge returns the i-th edge.
 func (g *Graph) Edge(i int) Edge { return g.edges[i] }
 

@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -293,5 +295,101 @@ func TestQuickDiameterViaProducts(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// appendStronglyConnected and appendSymmetricConnected are the random
+// builders written one AddEdge at a time, with HasEdge as the duplicate
+// check: the reference for the counting-pass builders.
+func appendStronglyConnected(n, extraEdges int, rng *rand.Rand) *Graph {
+	g := New(n)
+	perm := rng.Perm(n)
+	for i := 0; i < n; i++ {
+		g.AddEdge(i, i)
+		g.AddEdge(perm[i], perm[(i+1)%n])
+	}
+	for e := 0; e < extraEdges; e++ {
+		u, v := rng.Intn(n), rng.Intn(n)
+		if u != v && !g.HasEdge(u, v) {
+			g.AddEdge(u, v)
+		}
+	}
+	return g
+}
+
+func appendSymmetricConnected(n, extraEdges int, rng *rand.Rand) *Graph {
+	g := New(n)
+	perm := rng.Perm(n)
+	for i := 0; i < n; i++ {
+		g.AddEdge(i, i)
+	}
+	for i := 1; i < n; i++ {
+		u, v := perm[i], perm[rng.Intn(i)]
+		g.AddEdge(u, v)
+		g.AddEdge(v, u)
+	}
+	for e := 0; e < extraEdges; e++ {
+		u, v := rng.Intn(n), rng.Intn(n)
+		if u != v && !g.HasEdge(u, v) {
+			g.AddEdge(u, v)
+			g.AddEdge(v, u)
+		}
+	}
+	return g
+}
+
+// sameGraph fails unless g and want have the same edge list and the same
+// out- and in-edge index lists at every vertex.
+func sameGraph(t *testing.T, name string, g, want *Graph) {
+	t.Helper()
+	if g.N() != want.N() || !slices.Equal(g.Edges(), want.Edges()) {
+		t.Fatalf("%s: edges %v, want %v", name, g.Edges(), want.Edges())
+	}
+	for v := 0; v < g.N(); v++ {
+		if !slices.Equal(g.OutEdges(v), want.OutEdges(v)) || !slices.Equal(g.InEdges(v), want.InEdges(v)) {
+			t.Fatalf("%s: vertex %d out %v in %v, want out %v in %v",
+				name, v, g.OutEdges(v), g.InEdges(v), want.OutEdges(v), want.InEdges(v))
+		}
+	}
+}
+
+// TestRandomBuildersMatchAppendBuilt pins the counting-pass random
+// builders to the append-built reference: same RNG draws, same edge
+// order, same adjacency, for sparse to dense extra-arc counts. The
+// dynamic schedules rebuild these graphs every round and the static
+// random specs build them once, so both traces depend on this.
+func TestRandomBuildersMatchAppendBuilt(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 17, 512} {
+		for _, extra := range []int{0, n / 8, n, 4 * n} {
+			for seed := int64(1); seed <= 25; seed++ {
+				name := fmt.Sprintf("n=%d extra=%d seed=%d", n, extra, seed)
+				sameGraph(t, "strongly connected "+name,
+					RandomStronglyConnected(n, extra, rand.New(rand.NewSource(seed))),
+					appendStronglyConnected(n, extra, rand.New(rand.NewSource(seed))))
+				sameGraph(t, "symmetric "+name,
+					RandomSymmetricConnected(n, extra, rand.New(rand.NewSource(seed))),
+					appendSymmetricConnected(n, extra, rand.New(rand.NewSource(seed))))
+			}
+		}
+	}
+}
+
+// TestCountingPassListsStayPrivate adds edges after a counting-pass build:
+// each vertex's list is capped at its own length, so growing one list
+// must leave its neighbours' lists untouched.
+func TestCountingPassListsStayPrivate(t *testing.T) {
+	g := RandomStronglyConnected(6, 6, rand.New(rand.NewSource(3)))
+	want := appendStronglyConnected(6, 6, rand.New(rand.NewSource(3)))
+	for _, h := range []*Graph{g, want} {
+		for v := 0; v < 6; v++ {
+			h.AddEdge(v, (v+1)%6)
+			h.AddEdge((v+2)%6, v)
+		}
+	}
+	for v := 0; v < 6; v++ {
+		if !slices.Equal(g.OutEdges(v), want.OutEdges(v)) || !slices.Equal(g.InEdges(v), want.InEdges(v)) {
+			t.Fatalf("vertex %d: out %v in %v, want out %v in %v",
+				v, g.OutEdges(v), g.InEdges(v), want.OutEdges(v), want.InEdges(v))
+		}
 	}
 }

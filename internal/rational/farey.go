@@ -3,39 +3,14 @@ package rational
 import (
 	"fmt"
 	"math"
-	"math/big"
 )
-
-// BestApprox returns a rational p/q with 1 ≤ q ≤ maxDen closest to x, via
-// continued-fraction convergents and the final semiconvergent. This is the
-// rounding step of §5.4: with a bound N ≥ n known, an agent rounds its
-// Push-Sum output to the nearest element of ℚ_N; two distinct elements of
-// ℚ_N are at distance ≥ 1/N², so once the output is within 1/(2N²) of the
-// true frequency the rounding is exact and stays exact.
-func BestApprox(x float64, maxDen int) *big.Rat {
-	if maxDen < 1 {
-		panic(fmt.Sprintf("rational: BestApprox: maxDen %d, want ≥ 1", maxDen))
-	}
-	if math.IsNaN(x) || math.IsInf(x, 0) {
-		panic(fmt.Sprintf("rational: BestApprox: non-finite x %v", x))
-	}
-	neg := x < 0
-	if neg {
-		x = -x
-	}
-	whole := math.Floor(x)
-	p, q := bestApproxFrac(x-whole, maxDen)
-	r := new(big.Rat).SetFrac64(int64(whole)*int64(q)+int64(p), int64(q))
-	if neg {
-		r.Neg(r)
-	}
-	return r
-}
 
 // bestApproxFrac finds the best approximation of x ∈ [0, 1) with
 // denominator ≤ maxDen by walking the continued-fraction convergents of x
 // and, when the next convergent's denominator would overshoot, comparing
 // the deepest admissible semiconvergent against the last convergent.
+// Convergents and semiconvergents are in lowest terms (consecutive
+// convergents h/k satisfy h₁k₂ − h₂k₁ = ±1), so the pair needs no gcd.
 func bestApproxFrac(x float64, maxDen int) (p, q int) {
 	h2, k2 := 0, 1 // convergent h_{-2}/k_{-2}
 	h1, k1 := 1, 0 // convergent h_{-1}/k_{-1}
@@ -65,14 +40,24 @@ func bestApproxFrac(x float64, maxDen int) (p, q int) {
 	return h1, k1
 }
 
-// RoundToQN rounds x to the nearest element of ℚ_N = {p/q : 0 ≤ p ≤ q ≤ N}
-// (§5.4): the best approximation clamped to [0, 1].
-func RoundToQN(x float64, n int) *big.Rat {
+// RoundToQN rounds x to the nearest element p/q of
+// ℚ_N = {p/q : 0 ≤ p ≤ q ≤ N} (§5.4): the best approximation with
+// denominator ≤ N, clamped to [0, 1], in lowest terms (0 is 0/1). Two
+// distinct elements of ℚ_N are at distance ≥ 1/N², so once x is within
+// 1/(2N²) of a true frequency the rounding is exact and stays exact.
+func RoundToQN(x float64, n int) (p, q int64) {
+	if n < 1 {
+		panic(fmt.Sprintf("rational: RoundToQN: N %d, want ≥ 1", n))
+	}
+	if math.IsNaN(x) {
+		panic("rational: RoundToQN: NaN")
+	}
 	if x <= 0 {
-		return new(big.Rat)
+		return 0, 1
 	}
 	if x >= 1 {
-		return big.NewRat(1, 1)
+		return 1, 1
 	}
-	return BestApprox(x, n)
+	hp, hq := bestApproxFrac(x, n)
+	return int64(hp), int64(hq)
 }

@@ -34,6 +34,30 @@ func FuzzBestApprox(f *testing.F) {
 	})
 }
 
+// FuzzRoundToQN checks the int64 rounding to ℚ_N against the big.Rat
+// reference for finite x ∈ [−0.5, 1.5] and N ∈ [1, 2¹⁶]: the same
+// rational, already in lowest terms.
+func FuzzRoundToQN(f *testing.F) {
+	f.Add(0.5, 6)
+	f.Add(1.0/3, 12)
+	f.Add(0.3334, 6)
+	f.Add(-0.25, 4)
+	f.Add(1.25, 4)
+	f.Add(0.9999999, 65536)
+	f.Add(1e-13, 512)
+	f.Fuzz(func(t *testing.T, x float64, n int) {
+		if math.IsNaN(x) || x < -0.5 || x > 1.5 {
+			t.Skip()
+		}
+		n = 1 + int(uint(n)%(1<<16))
+		p, q := RoundToQN(x, n)
+		want := roundToQNRat(x, n)
+		if p != want.Num().Int64() || q != want.Denom().Int64() {
+			t.Fatalf("RoundToQN(%v, %d) = %d/%d, reference %v", x, n, p, q, want)
+		}
+	})
+}
+
 // fuzzGrid decodes a small integer matrix (at most 8×8) from fuzz bytes:
 // a shape byte, a mode byte, then per entry a big-endian int32 and a
 // shift byte, so entries range from tiny up to ±2³¹. Mode 1

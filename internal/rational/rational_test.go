@@ -1,6 +1,7 @@
 package rational
 
 import (
+	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
@@ -115,6 +116,42 @@ func TestScaleToCoprimeInts(t *testing.T) {
 	}
 }
 
+// BestApprox returns a rational p/q with 1 ≤ q ≤ maxDen closest to x, as a
+// normalized big.Rat. It is the reference RoundToQN is checked against:
+// the sign and the whole part are split off, the fractional part goes
+// through bestApproxFrac, and big.Rat reduces the result independently.
+func BestApprox(x float64, maxDen int) *big.Rat {
+	if maxDen < 1 {
+		panic(fmt.Sprintf("rational: BestApprox: maxDen %d, want ≥ 1", maxDen))
+	}
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		panic(fmt.Sprintf("rational: BestApprox: non-finite x %v", x))
+	}
+	neg := x < 0
+	if neg {
+		x = -x
+	}
+	whole := math.Floor(x)
+	p, q := bestApproxFrac(x-whole, maxDen)
+	r := new(big.Rat).SetFrac64(int64(whole)*int64(q)+int64(p), int64(q))
+	if neg {
+		r.Neg(r)
+	}
+	return r
+}
+
+// roundToQNRat is the big.Rat rounding to ℚ_N: BestApprox clamped to
+// [0, 1].
+func roundToQNRat(x float64, n int) *big.Rat {
+	if x <= 0 {
+		return new(big.Rat)
+	}
+	if x >= 1 {
+		return big.NewRat(1, 1)
+	}
+	return BestApprox(x, n)
+}
+
 func TestBestApproxExactRationals(t *testing.T) {
 	for _, c := range []struct {
 		x    float64
@@ -179,14 +216,22 @@ func TestQuickBestApproxMatchesBruteForce(t *testing.T) {
 }
 
 func TestRoundToQNClamps(t *testing.T) {
-	if RoundToQN(-0.3, 5).Sign() != 0 {
-		t.Fatal("negative input should clamp to 0")
-	}
-	if RoundToQN(1.7, 5).Cmp(big.NewRat(1, 1)) != 0 {
-		t.Fatal("input > 1 should clamp to 1")
-	}
-	if got := RoundToQN(0.332, 6); got.Cmp(big.NewRat(1, 3)) != 0 {
-		t.Fatalf("RoundToQN(0.332, 6) = %v, want 1/3", got)
+	for _, c := range []struct {
+		x            float64
+		n            int
+		wantP, wantQ int64
+	}{
+		{-0.3, 5, 0, 1}, // negative input clamps to 0
+		{1.7, 5, 1, 1},  // input > 1 clamps to 1
+		{math.Inf(-1), 5, 0, 1},
+		{math.Inf(1), 5, 1, 1},
+		{0.332, 6, 1, 3},
+		{1e-13, 6, 0, 1}, // rounds to zero inside (0, 1)
+		{0.9999, 6, 1, 1},
+	} {
+		if p, q := RoundToQN(c.x, c.n); p != c.wantP || q != c.wantQ {
+			t.Errorf("RoundToQN(%v, %d) = %d/%d, want %d/%d", c.x, c.n, p, q, c.wantP, c.wantQ)
+		}
 	}
 }
 
@@ -202,8 +247,9 @@ func TestRoundToQNExactnessWindow(t *testing.T) {
 		truth := big.NewRat(int64(p), int64(q))
 		tf, _ := truth.Float64()
 		noisy := tf + (rng.Float64()*2-1)*window*0.99
-		if got := RoundToQN(noisy, n); got.Cmp(truth) != 0 {
-			t.Fatalf("trial %d: RoundToQN(%v±, %d) = %v, want %v", trial, tf, n, got, truth)
+		gp, gq := RoundToQN(noisy, n)
+		if gp != truth.Num().Int64() || gq != truth.Denom().Int64() {
+			t.Fatalf("trial %d: RoundToQN(%v±, %d) = %d/%d, want %v", trial, tf, n, gp, gq, truth)
 		}
 	}
 }
@@ -213,6 +259,8 @@ func TestBestApproxPanicsOnBadInput(t *testing.T) {
 		func() { BestApprox(0.5, 0) },
 		func() { BestApprox(math.NaN(), 5) },
 		func() { BestApprox(math.Inf(1), 5) },
+		func() { RoundToQN(0.5, 0) },
+		func() { RoundToQN(math.NaN(), 5) },
 	} {
 		func() {
 			defer func() {
